@@ -81,6 +81,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     try:
         print(f"curve {c}", file=out)
         print(f"structure: {group.structure} (order {group.order})", file=out)
+        print(f"reduction bound: {_oracle.reduction_bound(c)}", file=out)
         print(f"elements: {', '.join(str(p) for p in group.elements)}", file=out)
         print(f"generators: {', '.join(str(p) for p in group.generators)}", file=out)
     finally:

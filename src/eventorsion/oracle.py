@@ -3,12 +3,25 @@
 Every rational torsion point on the integral model y^2 = x^3 + 2m*x^2 + q*x
 has integer coordinates with y = 0 or y^2 dividing the discriminant, so the
 whole group is found by enumerating those finitely many candidates and
-keeping the ones of finite order.  The only structural input is the bound
-of 12 on rational torsion orders; nothing from the classifier is reused.
+keeping the ones of finite order.
+
+Before enumerating, the oracle bounds the group's order by reduction: at an
+odd prime p of good reduction, rational torsion injects into E(F_p)
+(Silverman, AEC VII.3.1 with VII.3.4), so #T divides the gcd g of #E(F_p)
+over the first six odd primes up to 47 that do not divide the discriminant.
+When g equals the number of points of order dividing 2 (for a family
+member, when g = 2), those points are the whole group and no enumeration
+runs.  Otherwise the enumeration runs and stops once it has found g points,
+infinity included; when no listed prime is usable (g = 0), or with
+weak_bound=True, it runs in full.  Neither step uses anything from the
+classifier: the structural inputs are the integrality of torsion points,
+the injection theorem and Mazur's list of groups, which every returned
+group is checked against.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from . import curve as _curve
@@ -23,6 +36,20 @@ MAZUR_STRUCTURES = frozenset(
 # Residue filter used to discard y-candidates that cannot correspond to an
 # integer point; modular reduction is exact, so no true candidate is lost.
 _FILTER_MODULI = (16, 9, 5, 7, 11, 13)
+
+# Odd primes tried for the reduction bound, in order; the bound uses the
+# first _REDUCTION_PRIME_COUNT of them that do not divide the discriminant.
+_REDUCTION_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
+_REDUCTION_PRIME_COUNT = 6
+
+
+def _quadratic_character(p: int) -> tuple[int, ...]:
+    """chi_p(r) for r = 0..p-1: 0 at 0, 1 on nonzero squares, -1 elsewhere."""
+    squares = {x * x % p for x in range(1, p)}
+    return tuple(0 if r == 0 else 1 if r in squares else -1 for r in range(p))
+
+
+_CHARACTERS = {p: _quadratic_character(p) for p in _REDUCTION_PRIMES}
 
 
 class OracleError(RuntimeError):
@@ -55,6 +82,30 @@ def discriminant(c: CurveMND) -> int:
     16*q^2*(4m^2 - 4q) = 64*q^2*n^2*D.  Nonzero for every family member."""
     q = c.q
     return 64 * q * q * c.n * c.n * c.D
+
+
+def reduction_bound(c: CurveMND) -> int:
+    """A multiple of the torsion order: gcd of #E(F_p) over good odd primes.
+
+    #E(F_p) = p + 1 + sum_x chi_p(x^3 + 2m*x^2 + q*x).  Primes dividing the
+    discriminant are skipped; the gcd stops early at 2, the least it can be
+    since (0, 0) has order 2.  Returns 0 when no listed prime is usable.
+    """
+    disc = discriminant(c)
+    g = 0
+    used = 0
+    for p in _REDUCTION_PRIMES:
+        if disc % p == 0:
+            continue
+        chi = _CHARACTERS[p]
+        m2 = 2 * c.m % p
+        q = c.q % p
+        count = p + 1 + sum(chi[((x + m2) * x + q) * x % p] for x in range(p))
+        g = math.gcd(g, count)
+        used += 1
+        if g == 2 or used == _REDUCTION_PRIME_COUNT:
+            break
+    return g
 
 
 def _delta_factorization(c: CurveMND) -> list[tuple[int, int]]:
@@ -123,11 +174,17 @@ def torsion_group(c: CurveMND, weak_bound: bool = False) -> TorsionGroup:
 
     weak_bound=True relaxes the candidate bound from y^2 | delta to
     y | delta, as a paranoia check against the divisor-bound convention;
-    it only ever enlarges the candidate set.
+    it only ever enlarges the candidate set, and it skips the reduction
+    bound, so every candidate is tried.
     """
     found: dict[Point, int] = {}
     for p in _two_torsion_points(c):
         found[p] = 2
+    # #T divides the bound, and found plus infinity lies in T, so once they
+    # are as many as the bound allows they are all of T.
+    bound = 0 if weak_bound else reduction_bound(c)
+    if len(found) + 1 == bound:
+        return _assemble(c, found)
 
     items = _delta_factorization(c)
     primes = [p for p, _ in items]
@@ -155,6 +212,8 @@ def torsion_group(c: CurveMND, weak_bound: bool = False) -> TorsionGroup:
                         # orders are kept.
                         found[p] = k
                         found[Point(x, -y)] = k
+                        if len(found) + 1 == bound:
+                            return _assemble(c, found)
     return _assemble(c, found)
 
 

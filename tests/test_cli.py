@@ -53,6 +53,16 @@ class TestOracleCommand:
         assert code == EXIT_OK
         assert "structure: Z10 (order 10)" in out
         assert "(81, 1296)" in out
+        lines = out.splitlines()
+        bound_line = lines[lines.index("structure: Z10 (order 10)") + 1]
+        assert bound_line.startswith("reduction bound: ")
+        bound = int(bound_line.removeprefix("reduction bound: "))
+        assert bound > 0 and bound % 10 == 0
+
+    def test_oracle_reduction_bound_settles_z2(self, capsys):
+        code, out, _ = run(capsys, "oracle", "5", "2", "3")
+        assert code == EXIT_OK
+        assert "structure: Z2 (order 2)\nreduction bound: 2\n" in out
 
 
 class TestSweepCommand:

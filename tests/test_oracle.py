@@ -2,12 +2,16 @@ from itertools import product
 
 import pytest
 
+from eventorsion import oracle
+from eventorsion.cli import sweep_curves
 from eventorsion.curve import INFINITY, CurveMND, InvalidCurveError, Point, add, order
+from eventorsion.family import CASE_TAGS, sample_case
 from eventorsion.oracle import (
     MAZUR_STRUCTURES,
     TorsionGroup,
     assert_family_shape,
     discriminant,
+    reduction_bound,
     torsion_group,
 )
 
@@ -25,6 +29,26 @@ PINNED = [
     ((1, 1, 2), "Z2"),
     ((-366, 30, -15), "Z12"),
 ]
+
+
+def _points_mod_p(c: CurveMND, p: int) -> int:
+    """#E(F_p) by direct search over F_p x F_p, plus the point at infinity."""
+    return 1 + sum(
+        1
+        for x, y in product(range(p), repeat=2)
+        if (y * y - c.rhs(x)) % p == 0
+    )
+
+
+# Small family bounds that still reach every class the case predicts.
+SAMPLE_BOUNDS = {"I": 3, "II": 2, "III": 3, "IV": 25, "V": 9}
+
+
+def _assert_paths_agree(curves):
+    for c in curves:
+        group = torsion_group(c)
+        assert torsion_group(c, weak_bound=True) == group, c
+        assert reduction_bound(c) % group.order == 0, c
 
 
 class TestDiscriminant:
@@ -75,8 +99,7 @@ class TestTorsionGroup:
 
     @pytest.mark.parametrize("triple,structure", PINNED)
     def test_weak_bound_same_answer(self, triple, structure):
-        c = CurveMND(*triple)
-        assert torsion_group(c, weak_bound=True) == torsion_group(c)
+        _assert_paths_agree([CurveMND(*triple)])
 
     def test_closure_under_group_law(self):
         for triple, _ in PINNED:
@@ -122,6 +145,57 @@ class TestTorsionGroup:
                     if order(c, p) is not None:
                         direct.add(p)
             assert direct == set(torsion_group(c).elements), c
+
+
+@pytest.fixture
+def enumerations(monkeypatch):
+    """Curves the candidate enumeration runs on, recorded at its first step."""
+    calls = []
+    real = oracle._delta_factorization
+    monkeypatch.setattr(
+        oracle, "_delta_factorization", lambda c: calls.append(c) or real(c)
+    )
+    return calls
+
+
+class TestReductionBound:
+    @pytest.mark.parametrize("p", [7, 11, 13, 47])
+    def test_single_prime_is_point_count(self, monkeypatch, p):
+        c = CurveMND(95, 32, 10)
+        assert discriminant(c) % p != 0
+        monkeypatch.setattr(oracle, "_REDUCTION_PRIMES", (p,))
+        assert reduction_bound(c) == _points_mod_p(c, p)
+
+    def test_bad_prime_is_skipped(self, monkeypatch):
+        assert discriminant(C323) == 6912 and 6912 % 3 == 0
+        monkeypatch.setattr(oracle, "_REDUCTION_PRIMES", (3,))
+        assert reduction_bound(C323) == 0
+        monkeypatch.setattr(oracle, "_REDUCTION_PRIMES", (3, 5))
+        assert reduction_bound(C323) == _points_mod_p(C323, 5) == 6
+
+    def test_no_usable_prime_falls_back_to_enumeration(self, monkeypatch, enumerations):
+        c = CurveMND(1, 105, 2)
+        monkeypatch.setattr(oracle, "_REDUCTION_PRIMES", (3, 5, 7))
+        assert reduction_bound(c) == 0
+        group = torsion_group(c)
+        assert enumerations == [c]
+        assert group.elements == (INFINITY, Point(0, 0))
+        assert group == torsion_group(c, weak_bound=True)
+
+    def test_settled_curve_skips_enumeration(self, enumerations):
+        assert torsion_group(C523).structure == "Z2"
+        assert enumerations == []
+        assert torsion_group(C523, weak_bound=True).structure == "Z2"
+        assert enumerations == [C523]
+
+    def test_sweep_paths_agree(self):
+        _assert_paths_agree(sweep_curves(12, 12, 10))
+
+    @pytest.mark.parametrize("case", CASE_TAGS)
+    def test_family_paths_agree(self, case):
+        samples = sample_case(case, SAMPLE_BOUNDS[case])
+        assert samples
+        _assert_paths_agree(s.curve for s in samples)
 
 
 class TestFamilyShape:
