@@ -14,6 +14,9 @@ with an explicit generator x-coordinate:
     case V    Z10 exactly:       m = 2s(s+u) - v^2,  n = 2st,
                                  (s+u)^2 - v^2 = t^2*D,  (u-v)^2*(u+v) = 4uvs
 
+Each case is one witness class carrying its tag, order, exact flag, (m, n),
+generator x and doubled x; `CASES` (tag -> class) is the only registry.
+
 All checkers enumerate signed divisor pairs of n/2 deterministically
 (ascending |first parameter|, positive sign first), so the returned witness
 is reproducible.  Every condition forces n even, so odd n always lands in Z2.
@@ -22,8 +25,8 @@ is reproducible.  Every condition forces n even, so odd n always lands in Z2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional, Union
+from dataclasses import dataclass, fields
+from typing import ClassVar, Optional
 
 from . import curve as _curve
 from . import oracle as _oracle
@@ -40,32 +43,41 @@ class NonSquareYError(InconsistencyError):
     """A generator x-coordinate produced a non-square y^2 on the curve."""
 
 
-@dataclass(frozen=True)
-class WitnessI:
-    a: int
-    b: int
+class Witness:
+    """Witness of one case; each subclass is one row of the case table."""
 
-    tag = "I"
+    tag: ClassVar[str]
+    order: ClassVar[int]
+    exact: ClassVar[bool]  # False when the case only shows Z{order} is contained
+
+    def __init_subclass__(cls, tag: str, order: int, exact: bool = True) -> None:
+        cls.tag, cls.order, cls.exact = tag, order, exact
 
     @property
     def params(self) -> tuple[int, ...]:
-        return (self.a, self.b)
+        return tuple(getattr(self, f.name) for f in fields(self))
+
+
+@dataclass(frozen=True)
+class WitnessI(Witness, tag="I", order=4, exact=False):
+    a: int
+    b: int
 
     def curve_mn(self, d: int) -> tuple[int, int]:
         return self.a**2 + self.b**2 * d, 2 * self.a * self.b
 
+    def generator_x(self, d: int) -> int:
+        return self.a**2 - self.b**2 * d
+
+    def doubled_x(self, d: int) -> int:
+        return 0
+
 
 @dataclass(frozen=True)
-class WitnessII:
+class WitnessII(Witness, tag="II", order=8):
     u: int
     v: int
     w: int
-
-    tag = "II"
-
-    @property
-    def params(self) -> tuple[int, ...]:
-        return (self.u, self.v, self.w)
 
     def curve_mn(self, d: int) -> tuple[int, int]:
         return (
@@ -73,18 +85,18 @@ class WitnessII:
             2 * self.u**2 * self.v * self.w,
         )
 
+    def generator_x(self, d: int) -> int:
+        return (self.u + self.v) * (self.v - self.u) ** 3
+
+    def doubled_x(self, d: int) -> int:
+        return (self.u**2 - self.v**2) ** 2
+
 
 @dataclass(frozen=True)
-class WitnessIII:
+class WitnessIII(Witness, tag="III", order=6, exact=False):
     a: int
     b: int
     c: int
-
-    tag = "III"
-
-    @property
-    def params(self) -> tuple[int, ...]:
-        return (self.a, self.b, self.c)
 
     def curve_mn(self, d: int) -> tuple[int, int]:
         return (
@@ -92,43 +104,54 @@ class WitnessIII:
             2 * self.b * (self.a + self.c),
         )
 
+    def generator_x(self, d: int) -> int:
+        return 5 * self.c**2 + 4 * self.a * self.c
+
+    def doubled_x(self, d: int) -> int:
+        return self.c**2
+
 
 @dataclass(frozen=True)
-class WitnessIV:
+class WitnessIV(Witness, tag="IV", order=12):
     u: int
     v: int
     w: int
 
-    tag = "IV"
-
-    @property
-    def params(self) -> tuple[int, ...]:
-        return (self.u, self.v, self.w)
-
     def curve_mn(self, d: int) -> tuple[int, int]:
         return self.v**2 - self.u**2 + self.w**2 * d, 2 * self.v * self.w
 
+    def generator_x(self, d: int) -> int:
+        return (self.u + self.v) ** 2 - self.w**2 * d
+
+    def doubled_x(self, d: int) -> int:
+        return self.u**2
+
 
 @dataclass(frozen=True)
-class WitnessV:
+class WitnessV(Witness, tag="V", order=10):
     s: int
     t: int
     u: int
     v: int
 
-    tag = "V"
-
-    @property
-    def params(self) -> tuple[int, ...]:
-        return (self.s, self.t, self.u, self.v)
-
     def curve_mn(self, d: int) -> tuple[int, int]:
         return 2 * self.s * (self.s + self.u) - self.v**2, 2 * self.s * self.t
 
+    def generator_x(self, d: int) -> int:
+        return 2 * self.v**2 + 4 * self.v * self.s - self.u**2
 
-Witness = Union[WitnessI, WitnessII, WitnessIII, WitnessIV, WitnessV]
+    def doubled_x(self, d: int) -> int:
+        """v^2, not u^2: the generator P is P0 + P5 where x(P5) = u^2, so
+        2P = 2*P5, and an order-5 point never doubles back onto its own
+        x-coordinate.  u^2 is instead x(2*(3P)), the double of the other
+        generator 3P.  The acceptance suite's criterion 4 checks both."""
+        return self.v**2
 
-_WITNESS_ORDER = {WitnessI: 4, WitnessII: 8, WitnessIII: 6, WitnessIV: 12, WitnessV: 10}
+
+# The case table, in the paper's order: tag -> witness class.
+CASES: dict[str, type[Witness]] = {
+    w.tag: w for w in (WitnessI, WitnessII, WitnessIII, WitnessIV, WitnessV)
+}
 
 
 @dataclass(frozen=True)
@@ -139,12 +162,10 @@ class TorsionClass:
     witness: Optional[Witness]
 
     def __post_init__(self) -> None:
-        if self.order not in (2, 4, 6, 8, 10, 12):
-            raise ValueError(f"unsupported torsion order {self.order}")
         if self.order == 2:
             if self.witness is not None:
                 raise ValueError("Z2 carries no witness")
-        elif self.witness is None or _WITNESS_ORDER[type(self.witness)] != self.order:
+        elif self.witness is None or self.witness.order != self.order:
             raise ValueError(f"order {self.order} needs a matching witness")
 
     @property
@@ -305,43 +326,13 @@ def classify(c: CurveMND) -> TorsionClass:
 
 
 def generator_x(c: CurveMND, cls: TorsionClass) -> int:
-    """Generator x-coordinate from the class witness."""
-    w = cls.witness
-    if cls.order == 2:
-        return 0
-    if cls.order == 4:
-        return w.a**2 - w.b**2 * c.D
-    if cls.order == 6:
-        return 5 * w.c**2 + 4 * w.a * w.c
-    if cls.order == 8:
-        return (w.u + w.v) * (w.v - w.u) ** 3
-    if cls.order == 10:
-        return 2 * w.v**2 + 4 * w.v * w.s - w.u**2
-    return (w.u + w.v) ** 2 - w.w**2 * c.D  # order 12
+    """Generator x-coordinate from the class witness; Z2's generator is (0, 0)."""
+    return 0 if cls.witness is None else cls.witness.generator_x(c.D)
 
 
 def doubled_generator_x(c: CurveMND, cls: TorsionClass) -> int:
-    """x-coordinate of twice the generator, per case: 0 (Z4), c^2 (Z6),
-    (u^2 - v^2)^2 (Z8), v^2 (Z10), u^2 (Z12).
-
-    For Z10 the value is v^2, not u^2: the order-10 generator with
-    x = 2v^2 + 4vs - u^2 is P0 + P5 where x(P5) = u^2, so its double is
-    2*P5, and an order-5 point never doubles back onto its own
-    x-coordinate.  u^2 is instead x(2*(3P)), the double of the other
-    generator 3P.  The acceptance suite's criterion 4 checks both.
-    """
-    w = cls.witness
-    if cls.order == 4:
-        return 0
-    if cls.order == 6:
-        return w.c**2
-    if cls.order == 8:
-        return (w.u**2 - w.v**2) ** 2
-    if cls.order == 10:
-        return w.v**2
-    if cls.order == 12:
-        return w.u**2
-    raise ValueError(f"Z{cls.order} generator does not double to an affine point")
+    """x-coordinate of twice the generator; not for Z2, whose double is O."""
+    return cls.witness.doubled_x(c.D)
 
 
 def generator(c: CurveMND, cls: TorsionClass) -> Point:

@@ -7,35 +7,21 @@ Exit codes: 0 success, 1 verification mismatches, 2 invalid input,
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from collections import Counter
-from typing import Iterator, TextIO
+from typing import TextIO
 
 from . import family as _family
 from . import oracle as _oracle
-from .classifier import InconsistencyError, full_report
+from .classifier import CASES, InconsistencyError, full_report
 from .corpus import CorpusFormatError, CorpusRecord
-from .curve import CurveMND, InvalidCurveError, normalize
-from .intmath import is_squarefree
+from .curve import InvalidCurveError, normalize
 from .oracle import OracleError
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_INVALID = 2
 EXIT_INCONSISTENT = 3
-
-
-def sweep_curves(m_max: int, n_max: int, d_max: int) -> Iterator[CurveMND]:
-    """All normalized (m, n, D) with |m| <= m_max, 1 <= n <= n_max, and
-    2 <= |D| <= d_max squarefree, in lexicographic (m, n, D) order."""
-    ds = [d for d in range(-d_max, d_max + 1) if abs(d) >= 2 and is_squarefree(d)]
-    for m in range(-m_max, m_max + 1):
-        for n in range(1, n_max + 1):
-            if not is_squarefree(math.gcd(m, n)):
-                continue
-            for d in ds:
-                yield CurveMND(m, n, d)
 
 
 def _render_text(report, out: TextIO) -> None:
@@ -135,7 +121,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise InvalidCurveError("sweep bounds must be positive")
     reports = (
         full_report(c, with_oracle=True)
-        for c in sweep_curves(args.m_max, args.n_max, args.d_max)
+        for c in _family.sweep_curves(args.m_max, args.n_max, args.d_max)
     )
     return _emit_records(reports, args)
 
@@ -147,14 +133,14 @@ def cmd_sample(args: argparse.Namespace) -> int:
         for s in samples:
             yield full_report(s.curve, with_oracle=args.oracle)
 
-    predicted_order = _family.CASE_ORDERS[args.case]
+    case = CASES[args.case]
 
     def check(report) -> bool:
-        # Containment cases predict a divisor of the class order; the exact
-        # cases predict it outright.
-        if args.case in ("I", "III"):
-            return report.cls.order % predicted_order == 0
-        return report.cls.order == predicted_order
+        # Exact cases predict the class order outright; containment cases
+        # predict a divisor of it.
+        if case.exact:
+            return report.cls.order == case.order
+        return report.cls.order % case.order == 0
 
     return _emit_records(reports(), args, check_predicted=check)
 
@@ -228,7 +214,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_sweep, format="records")
 
     p = sub.add_parser("sample", help="emit curves from one case's parametrization")
-    p.add_argument("case", choices=_family.CASE_TAGS)
+    p.add_argument("case", choices=CASES)
     p.add_argument("bound", type=int)
     p.add_argument("--oracle", action="store_true")
     add_common(p)

@@ -3,7 +3,9 @@
 One JSON object per line, fixed key order (m, n, D, class, witness,
 generator_x, generator_y, oracle_order, agree), every integer serialized as
 a decimal string so no consumer word size can truncate it.  A witness is
-"TAG:p1,p2,..." or null.
+"TAG:p1,p2,..." or null, TAG being a key of `classifier.CASES`.  Reading
+accepts exactly what writing produces: each integer must be a string in
+canonical decimal form, class a string, and agree true, false or null.
 """
 
 from __future__ import annotations
@@ -12,23 +14,7 @@ import json
 from dataclasses import dataclass
 from typing import Optional
 
-from .classifier import (
-    ClassificationReport,
-    Witness,
-    WitnessI,
-    WitnessII,
-    WitnessIII,
-    WitnessIV,
-    WitnessV,
-)
-
-_WITNESS_TYPES = {
-    "I": WitnessI,
-    "II": WitnessII,
-    "III": WitnessIII,
-    "IV": WitnessIV,
-    "V": WitnessV,
-}
+from .classifier import CASES, ClassificationReport, Witness
 
 FIELD_ORDER = (
     "m",
@@ -58,10 +44,18 @@ def witness_from_token(token: Optional[str]) -> Optional[Witness]:
         return None
     try:
         tag, joined = token.split(":", 1)
-        params = [int(p) for p in joined.split(",")]
-        return _WITNESS_TYPES[tag](*params)
-    except (ValueError, KeyError, TypeError) as exc:
+        return CASES[tag](*map(_decimal, joined.split(",")))
+    except (AttributeError, ValueError, KeyError, TypeError) as exc:
         raise CorpusFormatError(f"bad witness token {token!r}") from exc
+
+
+def _decimal(text: object) -> int:
+    """The integer written as `text` by to_line: its canonical decimal string."""
+    if isinstance(text, str):
+        value = int(text)
+        if str(value) == text:
+            return value
+    raise ValueError(f"{text!r} is not a canonical decimal integer")
 
 
 @dataclass(frozen=True)
@@ -113,21 +107,24 @@ class CorpusRecord:
             raise CorpusFormatError(f"not valid JSON: {line!r}") from exc
         if not isinstance(payload, dict) or set(payload) != set(FIELD_ORDER):
             raise CorpusFormatError(f"unexpected fields in {line!r}")
+        label, agree = payload["class"], payload["agree"]
+        if not isinstance(label, str) or not (agree is None or isinstance(agree, bool)):
+            raise CorpusFormatError(f"bad class or agree in {line!r}")
         try:
             return cls(
-                m=int(payload["m"]),
-                n=int(payload["n"]),
-                D=int(payload["D"]),
-                cls=payload["class"],
+                m=_decimal(payload["m"]),
+                n=_decimal(payload["n"]),
+                D=_decimal(payload["D"]),
+                cls=label,
                 witness=witness_from_token(payload["witness"]),
-                generator_x=int(payload["generator_x"]),
-                generator_y=int(payload["generator_y"]),
+                generator_x=_decimal(payload["generator_x"]),
+                generator_y=_decimal(payload["generator_y"]),
                 oracle_order=(
-                    None if payload["oracle_order"] is None else int(payload["oracle_order"])
+                    None if payload["oracle_order"] is None else _decimal(payload["oracle_order"])
                 ),
-                agree=payload["agree"],
+                agree=agree,
             )
-        except (ValueError, TypeError) as exc:
+        except ValueError as exc:
             raise CorpusFormatError(f"bad record values in {line!r}") from exc
 
 

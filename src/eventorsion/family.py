@@ -1,10 +1,11 @@
 """Forward direction: sample witness tuples per case and emit labeled curves.
 
-Each sampler enumerates the case's parameter lattice up to a bound, skips
-tuples violating the side conditions (nonzero, coprime, squarefree D,
-D != 1), normalizes, and records the predicted class and generator
-x-coordinate.  Tuples normalizing to a previously emitted curve are
-deduplicated; output is sorted by (m, n, D) so the order is canonical.
+Each sampler enumerates the case's witnesses up to a bound, skipping tuples
+violating the side conditions (nonzero, coprime, squarefree D, D != 1); the
+witness class gives (m, n), the predicted class and generator x-coordinate.
+Tuples normalizing to a previously emitted curve are deduplicated; output is
+sorted by (m, n, D) so the order is canonical.  `sweep_curves` enumerates
+every normalized curve of a box instead.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from typing import Iterator
 from . import curve as _curve
 from . import intmath
 from .classifier import (
+    CASES,
     TorsionClass,
     Witness,
     WitnessI,
@@ -25,9 +27,6 @@ from .classifier import (
     WitnessV,
 )
 from .curve import CurveMND
-
-CASE_TAGS = ("I", "II", "III", "IV", "V")
-CASE_ORDERS = {"I": 4, "II": 8, "III": 6, "IV": 12, "V": 10}
 
 # Cases I, III, IV enumerate D directly; II and V derive D from a squarefree
 # split.  The direct range 2*bound keeps small bounds productive (bound 1
@@ -52,7 +51,7 @@ def _squarefree_ds(limit: int) -> list[int]:
     ]
 
 
-_RawSample = tuple[Witness, int, int, int, int]  # witness, m, n, D, generator x
+_RawSample = tuple[Witness, int]  # witness, D
 
 
 def _iter_case_i(bound: int, d_limit: int) -> Iterator[_RawSample]:
@@ -63,8 +62,7 @@ def _iter_case_i(bound: int, d_limit: int) -> Iterator[_RawSample]:
             if math.gcd(a, b) != 1:
                 continue
             for d in ds:
-                m = a * a + b * b * d
-                yield WitnessI(a, b), m, 2 * a * b, d, a * a - b * b * d
+                yield WitnessI(a, b), d
 
 
 def _iter_case_ii(bound: int, d_limit: int) -> Iterator[_RawSample]:
@@ -73,9 +71,7 @@ def _iter_case_ii(bound: int, d_limit: int) -> Iterator[_RawSample]:
             w, d = intmath.squarefree_split(2 * u * u - v * v)
             if d == 1:
                 continue
-            m = u**4 + v * v * w * w * d
-            n = 2 * u * u * v * w
-            yield WitnessII(u, v, w), m, n, d, (u + v) * (v - u) ** 3
+            yield WitnessII(u, v, w), d
 
 
 def _iter_case_iii(bound: int, d_limit: int) -> Iterator[_RawSample]:
@@ -92,9 +88,7 @@ def _iter_case_iii(bound: int, d_limit: int) -> Iterator[_RawSample]:
                         continue
                     if math.gcd(math.gcd(a, b), c) != 1:
                         continue
-                    m = a * a + 2 * a * c + b * b * d
-                    n = 2 * b * (a + c)
-                    yield WitnessIII(a, b, c), m, n, d, 5 * c * c + 4 * a * c
+                    yield WitnessIII(a, b, c), d
 
 
 def _iter_case_iv(bound: int, d_limit: int) -> Iterator[_RawSample]:
@@ -112,8 +106,7 @@ def _iter_case_iv(bound: int, d_limit: int) -> Iterator[_RawSample]:
                     b = v2 + w2 * d
                     if 3 * a**4 - 4 * u2 * a * a * b - 16 * u2 * u2 * v2 * w2 * d:
                         continue
-                    m = v2 - u2 + w2 * d
-                    yield WitnessIV(u, v, w), m, 2 * v * w, d, (u + v) ** 2 - w2 * d
+                    yield WitnessIV(u, v, w), d
 
 
 def _iter_case_v(bound: int, d_limit: int) -> Iterator[_RawSample]:
@@ -130,8 +123,7 @@ def _iter_case_v(bound: int, d_limit: int) -> Iterator[_RawSample]:
             t, d = intmath.squarefree_split(t2d)
             if d == 1:
                 continue
-            m = 2 * s * (s + u) - v * v
-            yield WitnessV(s, t, u, v), m, 2 * s * t, d, 2 * v * v + 4 * v * s - u * u
+            yield WitnessV(s, t, u, v), d
 
 
 _CASE_ITERATORS = {
@@ -151,19 +143,20 @@ def sample_case(
     d_limit caps |D| for the cases that enumerate D directly (default
     2*bound); cases II and V derive D from the parameters instead.
     """
-    if case_tag not in CASE_TAGS:
+    if case_tag not in CASES:
         raise ValueError(f"unknown case tag {case_tag!r}")
     if bound < 1:
         raise ValueError("bound must be at least 1")
     if d_limit is None:
         d_limit = _D_RANGE_FACTOR * bound
-    order = CASE_ORDERS[case_tag]
     out: dict[tuple[int, int, int], FamilySample] = {}
-    for witness, m, n, d, gen_x in _CASE_ITERATORS[case_tag](bound, d_limit):
+    for witness, d in _CASE_ITERATORS[case_tag](bound, d_limit):
+        m, n = witness.curve_mn(d)
         cur = _curve.normalize(m, n, d)
         key = (cur.m, cur.n, cur.D)
         if key in out:
             continue
+        gen_x = witness.generator_x(d)
         # Normalization divides (m, n) by e^2; points rescale by the same
         # square, and the image of an integral torsion point stays integral.
         e2 = abs(n) // cur.n
@@ -173,5 +166,17 @@ def sample_case(
                 f"case {case_tag} sample {witness}: generator x {gen_x} "
                 f"does not rescale by {e2}"
             )
-        out[key] = FamilySample(case_tag, witness, cur, TorsionClass(order, witness), gx)
+        out[key] = FamilySample(case_tag, witness, cur, TorsionClass(witness.order, witness), gx)
     return sorted(out.values(), key=lambda s: (s.curve.m, s.curve.n, s.curve.D))
+
+
+def sweep_curves(m_max: int, n_max: int, d_max: int) -> Iterator[CurveMND]:
+    """All normalized (m, n, D) with |m| <= m_max, 1 <= n <= n_max, and
+    2 <= |D| <= d_max squarefree, in lexicographic (m, n, D) order."""
+    ds = [d for d in range(-d_max, d_max + 1) if abs(d) >= 2 and intmath.is_squarefree(d)]
+    for m in range(-m_max, m_max + 1):
+        for n in range(1, n_max + 1):
+            if not intmath.is_squarefree(math.gcd(m, n)):
+                continue
+            for d in ds:
+                yield CurveMND(m, n, d)

@@ -22,7 +22,6 @@ from eventorsion.classifier import (
     check_case_iv,
     full_report,
 )
-from eventorsion.cli import sweep_curves
 from eventorsion.curve import (
     CurveMND,
     Point,
@@ -32,7 +31,7 @@ from eventorsion.curve import (
     order,
     three_torsion_quartic,
 )
-from eventorsion.family import sample_case
+from eventorsion.family import sample_case, sweep_curves
 from eventorsion.intmath import int_sqrt, is_squarefree
 from eventorsion.oracle import assert_family_shape, torsion_group
 

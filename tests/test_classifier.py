@@ -1,8 +1,12 @@
+from collections import Counter
 from itertools import product
 
 import pytest
 
+from eventorsion import classifier as classifier_module
+from eventorsion import curve as curve_module
 from eventorsion.classifier import (
+    CASES,
     NonSquareYError,
     TorsionClass,
     WitnessI,
@@ -139,6 +143,18 @@ class TestClassify:
             if cls.witness is not None:
                 assert cls.witness.curve_mn(c.D) == (c.m, c.n)
 
+    def test_case_table(self):
+        # Tag -> (class order, exact); I and III only show containment.
+        rows = {tag: (case.order, case.exact) for tag, case in CASES.items()}
+        assert rows == {
+            "I": (4, False),
+            "II": (8, True),
+            "III": (6, False),
+            "IV": (12, True),
+            "V": (10, True),
+        }
+        assert all(case.tag == tag for tag, case in CASES.items())
+
     def test_torsion_class_validation(self):
         with pytest.raises(ValueError):
             TorsionClass(3, None)
@@ -269,3 +285,63 @@ class TestCaseWitnesses:
             if ws["V"] is not None:
                 assert not has_i and not has_iii
             assert (ws["IV"] is not None) == (has_i and has_iii)
+
+
+class TestLayerAttributes:
+    """classify, full_report and case_witnesses reach the case checks, the
+    generator and the point order through module attributes, so a profiler
+    that replaces those attributes sees every call."""
+
+    CURVES = (Z12_CURVE, C2387, C953210)
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        seen = Counter()
+
+        def spy(module, name):
+            real = getattr(module, name)
+
+            def counted(*args, **kwargs):
+                seen[name] += 1
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+
+        for i in ("i", "ii", "iii", "iv", "v"):
+            spy(classifier_module, f"check_case_{i}")
+        spy(classifier_module, "generator")
+        spy(curve_module, "order")
+        return seen
+
+    # Z12 runs I, III, then IV; (23, 8, 7) runs I, III, then II on top of
+    # I; (95, 32, 10) runs I, III, then V.
+    CLASSIFY_CHECKS = {
+        "check_case_i": 3,
+        "check_case_ii": 1,
+        "check_case_iii": 3,
+        "check_case_iv": 1,
+        "check_case_v": 1,
+    }
+
+    def test_classify(self, calls):
+        for c in self.CURVES:
+            classify(c)
+        assert calls == Counter(self.CLASSIFY_CHECKS)
+
+    def test_full_report(self, calls):
+        for c in self.CURVES:
+            full_report(c)
+        assert calls == Counter({**self.CLASSIFY_CHECKS, "generator": 3, "order": 3})
+
+    def test_case_witnesses(self, calls):
+        for c in self.CURVES:
+            case_witnesses(c)
+        assert calls == Counter(
+            {
+                "check_case_i": 3,
+                "check_case_ii": 2,
+                "check_case_iii": 3,
+                "check_case_iv": 3,
+                "check_case_v": 3,
+            }
+        )

@@ -1,15 +1,11 @@
+import hashlib
 import json
 
 import pytest
 
-from eventorsion.cli import (
-    EXIT_INVALID,
-    EXIT_MISMATCH,
-    EXIT_OK,
-    main,
-    sweep_curves,
-)
+from eventorsion.cli import EXIT_INVALID, EXIT_MISMATCH, EXIT_OK, main
 from eventorsion.corpus import CorpusRecord
+from eventorsion.family import sweep_curves
 
 
 def run(capsys, *argv):
@@ -152,20 +148,62 @@ class TestVerifyCommand:
         assert code == EXIT_MISMATCH
         assert "line 1: mismatch" in err
 
+    def test_verify_rejects_corrupted_values(self, tmp_path, capsys):
+        path = tmp_path / "corpus.jsonl"
+        run(capsys, "classify", "3", "2", "2", "--oracle", "--format", "records", "--out", str(path))
+        payload = json.loads(path.read_text())
+        payload.update({"m": 3.9, "oracle_order": 4.2, "agree": 1})
+        path.write_text(json.dumps(payload) + "\n")
+        code, _, err = run(capsys, "verify", str(path))
+        assert code == EXIT_INVALID
+        assert "verified=" not in err
+
     def test_verify_missing_file(self, capsys):
         code, _, _ = run(capsys, "verify", "/nonexistent/corpus.jsonl")
         assert code == EXIT_INVALID
+
+
+class TestRecordStream:
+    """The record streams keep the bytes they had when these digests were
+    recorded; a change to the corpus format must update them on purpose."""
+
+    DIGESTS = {
+        "sweep 20 20 10 --format records": "4d73384c9483e9db49aaac2575866d0b0ce48b26e6f8e9e518487844ded4611b",
+        "sample I 10 --oracle": "c3905ac4e7b8f6e96c8a5201deebb4966c7647796ff4ddff02c02ad6addde002",
+        "sample II 10 --oracle": "02ae1abc94b0f15762251a4ce3782c76c3ca24eb3be16ae1a4ed7092c709837f",
+        "sample III 10 --oracle": "261433f85cf9d62fc039c5c96c041fecfd20ecb0b0ee69274e66d0cb1440bfc5",
+        "sample V 10 --oracle": "e5907e9e2ae962265d9f5c864875290b9f64eecdbdda4a0a7c5a211fdec98ec8",
+        # Case IV emits no curve at bound 10.
+        "sample IV 25 --oracle": "fbd5ac5bf62555576851314540e64d3cb4032d67ac10c38b65e3e5527bca990b",
+    }
+
+    @pytest.mark.parametrize("argv", DIGESTS)
+    def test_stream_digest(self, capsys, argv):
+        code, out, err = run(capsys, *argv.split())
+        assert code == EXIT_OK
+        assert hashlib.sha256(out.encode()).hexdigest() == self.DIGESTS[argv]
+        if argv.startswith("sweep"):
+            assert err == "curves=9060 Z2=8979 Z4=67 Z6=13 Z8=1 disagreements=0\n"
+        else:
+            assert err.endswith(" disagreements=0 prediction_mismatches=0\n")
 
 
 class TestEntryPoint:
     def test_module_invocation(self):
         import subprocess
         import sys
+        from pathlib import Path
 
+        import eventorsion
+
+        # Run from the directory holding the imported package, so the child
+        # finds it whether it came from PYTHONPATH, pytest's pythonpath or
+        # an install.
         proc = subprocess.run(
             [sys.executable, "-m", "eventorsion", "classify", "3", "2", "3"],
             capture_output=True,
             text=True,
+            cwd=Path(eventorsion.__file__).resolve().parents[1],
         )
         assert proc.returncode == 0
         assert "class: Z6" in proc.stdout

@@ -64,3 +64,16 @@ class TestCorpusRecord:
             CorpusRecord.from_line("not json")
         with pytest.raises(CorpusFormatError):
             CorpusRecord.from_line('{"m": "1"}')
+        # Each value must be exactly what to_line writes.
+        good = json.loads(self.record().to_line())
+        for field, bad in [
+            ("m", 3.9), ("m", 3), ("m", "+3"), ("m", "03"), ("n", "2.0"), ("D", True),
+            ("oracle_order", 4.2), ("oracle_order", "4_0"),
+            ("agree", 1), ("agree", "true"),
+            ("generator_x", " -1 "), ("generator_y", "-0"),
+            ("class", 4), ("class", None),
+            ("witness", "I: 1,+1"), ("witness", "I:1,+1"), ("witness", "I:1,1.0"),
+            ("witness", 5), ("witness", "X:1,1"),
+        ]:
+            with pytest.raises(CorpusFormatError):
+                CorpusRecord.from_line(json.dumps({**good, field: bad}))

@@ -1,8 +1,8 @@
 import pytest
 
-from eventorsion.classifier import classify
+from eventorsion.classifier import CASES, classify
 from eventorsion.curve import Point, order
-from eventorsion.family import CASE_ORDERS, sample_case
+from eventorsion.family import sample_case
 from eventorsion.intmath import int_sqrt
 
 
@@ -52,9 +52,9 @@ class TestSampleCase:
             cls = classify(s.curve)
             if tag in ("I", "III"):
                 # Containment: the case's subgroup order divides the class order.
-                assert cls.order % CASE_ORDERS[tag] == 0, s
+                assert cls.order % CASES[tag].order == 0, s
             else:
-                assert cls.order == CASE_ORDERS[tag], s
+                assert cls.order == CASES[tag].order, s
 
     @pytest.mark.parametrize("tag,bound", [("I", 4), ("II", 5), ("III", 4), ("V", 20), ("IV", 25)])
     def test_predicted_generators_lie_on_curve_with_predicted_order(self, tag, bound):

@@ -3,9 +3,9 @@ from itertools import product
 import pytest
 
 from eventorsion import oracle
-from eventorsion.cli import sweep_curves
+from eventorsion.classifier import CASES
 from eventorsion.curve import INFINITY, CurveMND, InvalidCurveError, Point, add, order
-from eventorsion.family import CASE_TAGS, sample_case
+from eventorsion.family import sample_case, sweep_curves
 from eventorsion.oracle import (
     MAZUR_STRUCTURES,
     TorsionGroup,
@@ -191,7 +191,7 @@ class TestReductionBound:
     def test_sweep_paths_agree(self):
         _assert_paths_agree(sweep_curves(12, 12, 10))
 
-    @pytest.mark.parametrize("case", CASE_TAGS)
+    @pytest.mark.parametrize("case", CASES)
     def test_family_paths_agree(self, case):
         samples = sample_case(case, SAMPLE_BOUNDS[case])
         assert samples
