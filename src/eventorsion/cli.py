@@ -1,7 +1,11 @@
 """Command-line front end: classify, oracle, sweep, sample, verify.
 
 Exit codes: 0 success, 1 verification mismatches, 2 invalid input,
-3 internal consistency failure.
+3 internal consistency failure, 4 factoring limit: a number the run must
+factor (D, gcd(m, n) and n/2; with the oracle also q = m^2 - n^2*D) has a
+prime factor at or above 3.3*10^24, beyond the proven Miller-Rabin range,
+or a composite part with no prime factor below ~10^15 for Pollard rho to
+find within its step budget.
 """
 
 from __future__ import annotations
@@ -16,12 +20,14 @@ from . import oracle as _oracle
 from .classifier import CASES, InconsistencyError, full_report
 from .corpus import CorpusFormatError, CorpusRecord
 from .curve import InvalidCurveError, normalize
+from .intmath import FactoringLimitError
 from .oracle import OracleError
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_INVALID = 2
 EXIT_INCONSISTENT = 3
+EXIT_LIMIT = 4
 
 
 def _render_text(report, out: TextIO) -> None:
@@ -232,6 +238,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except FactoringLimitError as exc:
+        print(f"factoring limit: {exc}", file=sys.stderr)
+        return EXIT_LIMIT
     except (InvalidCurveError, CorpusFormatError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID

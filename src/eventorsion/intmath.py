@@ -1,7 +1,16 @@
-"""Exact integer primitives: perfect squares, squarefree splitting, divisors.
+"""Exact integer primitives: perfect squares, factorization, squarefree
+splitting, divisors.
 
 Everything runs on Python's arbitrary-precision integers (and Fraction for
 the one rational helper); no floating point is used anywhere in the package.
+
+Factoring divides out the primes below 1000, proves larger cofactors prime
+with deterministic Miller-Rabin and splits composite ones with Brent's
+variant of Pollard rho.  Results are exact.  Two kinds of cofactor are out
+of reach and raise FactoringLimitError instead of a guess or a stall: a
+probable prime at or above 3.3*10^24, where the Miller-Rabin bases are no
+longer proven, and a composite that rho cannot split within its fixed step
+budget, which happens when its smallest prime factor is beyond ~10^15.
 """
 
 from __future__ import annotations
@@ -11,11 +20,9 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator, NamedTuple
 
-DEFAULT_TRIAL_BOUND = 10**6
 
-
-class SquarefreeSplitError(ValueError):
-    """The unfactored cofactor could not be certified squarefree."""
+class FactoringLimitError(ArithmeticError):
+    """A cofactor can be neither proven prime nor split within the budget."""
 
 
 class SquarefreeSplit(NamedTuple):
@@ -33,16 +40,19 @@ def _sieve(limit: int) -> tuple[int, ...]:
 
 
 _SMALL_PRIMES = _sieve(1000)
-
-
-def _trial_candidates() -> Iterator[int]:
-    # Primes below 1000, then all odd numbers; composite candidates are
-    # harmless because their prime factors were already divided out.
-    yield from _SMALL_PRIMES
-    k = 1001
-    while True:
-        yield k
-        k += 2
+# With every prime below 1000 divided out, a composite cofactor is at least
+# 1009**2, so a cofactor below this bound is prime.
+_PRIME_BELOW = 10**6
+# Miller-Rabin with the first 13 primes as bases is correct for every n below
+# _MR_PROVEN_BOUND (Sorenson and Webster 2015).
+_MR_BASES = _SMALL_PRIMES[:13]
+_MR_PROVEN_BOUND = 3317044064679887385961981
+# Steps x -> x*x + c mod n that Brent's rho may take on one cofactor: 2-4 s
+# of Python 3.11 on one core.  Finding a prime factor p takes ~sqrt(p) steps;
+# on 400 semiprimes the most was 8.3*sqrt(p), half the budget at p = 10^12.
+_RHO_BUDGET = 1 << 24
+# Steps between two gcds in Brent's rho.
+_RHO_BATCH = 128
 
 
 def int_sqrt(x: int) -> int | None:
@@ -73,7 +83,7 @@ def gcd(x: int, y: int) -> int:
     return math.gcd(x, y)
 
 
-def _iroot(n: int, k: int) -> int:
+def iroot(n: int, k: int) -> int:
     """Floor of the k-th root of n >= 0."""
     if n < 2:
         return n
@@ -87,88 +97,88 @@ def _iroot(n: int, k: int) -> int:
         x = y
 
 
-def _power_base(c: int) -> tuple[int, int]:
-    """Write c >= 2 as base**exp with exp maximal (base not a perfect power)."""
-    exp = 1
-    reduced = True
-    while reduced:
-        reduced = False
-        for k in _SMALL_PRIMES:
-            if (1 << k) > c:
-                break
-            r = _iroot(c, k)
-            if r**k == c:
-                c, exp = r, exp * k
-                reduced = True
-                break
-    return c, exp
+def _is_prime(n: int) -> bool:
+    """Primality of an odd n >= _PRIME_BELOW with no prime factor below 1000.
 
-
-def squarefree_split(x: int, trial_bound: int = DEFAULT_TRIAL_BOUND) -> SquarefreeSplit:
-    """Split x != 0 as d*d * s with s squarefree, returning (d, s).
-
-    Trial division runs up to trial_bound.  A surviving cofactor is reduced
-    to base**exp; the base is accepted as squarefree only when that is forced
-    (no prime factor below trial_bound, not a perfect power, and small enough
-    that a repeated prime factor is impossible).  Anything else raises
-    SquarefreeSplitError instead of guessing.
+    Raises FactoringLimitError for a probable prime at or above
+    _MR_PROVEN_BOUND, where passing every base proves nothing.
     """
-    if x == 0:
-        raise ValueError("cannot split 0 into square and squarefree parts")
-    sign = -1 if x < 0 else 1
-    a = abs(x)
-    d = 1
-    s = 1
-    exceeded_bound = False
-    for p in _trial_candidates():
-        if p > trial_bound:
-            exceeded_bound = True
-            break
-        if p * p > a:
-            break
-        if a % p == 0:
-            e = 0
-            while a % p == 0:
-                a //= p
-                e += 1
-            d *= p ** (e // 2)
-            if e % 2:
-                s *= p
-    if a > 1:
-        if not exceeded_bound:
-            s *= a  # a has no divisor at most sqrt(a), hence is prime
+    d = n - 1
+    s = (d & -d).bit_length() - 1
+    d >>= s
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
         else:
-            base, e = _power_base(a)
-            # base has no prime factor <= trial_bound and is not a perfect
-            # power, so base non-squarefree would force base > trial_bound**3.
-            if base > trial_bound**3:
-                raise SquarefreeSplitError(
-                    f"cannot certify cofactor {a} squarefree "
-                    f"(trial bound {trial_bound})"
+            return False
+    if n >= _MR_PROVEN_BOUND:
+        raise FactoringLimitError(
+            f"cannot prove {n} prime: Miller-Rabin is proven only below "
+            f"{_MR_PROVEN_BOUND}"
+        )
+    return True
+
+
+def _proper_divisor(n: int) -> int:
+    """A divisor 1 < g < n of the composite n (Brent 1980)."""
+    r = math.isqrt(n)
+    if r * r == n:
+        return r
+    steps = 0
+    c = 0
+    while True:
+        c += 1
+        y, q, g, span = 2, 1, 1, 1
+        while g == 1:
+            # Each round walks span steps to move x, then span more.
+            steps += 2 * span
+            if steps > _RHO_BUDGET:
+                raise FactoringLimitError(
+                    f"cannot split {n}: Pollard rho found no factor in "
+                    f"{_RHO_BUDGET} steps"
                 )
-            d *= base ** (e // 2)
-            if e % 2:
-                s *= base
-    return SquarefreeSplit(d, sign * s)
-
-
-@lru_cache(maxsize=None)
-def is_squarefree(x: int) -> bool:
-    return squarefree_split(x).square_part == 1
+            x = y
+            for _ in range(span):
+                y = (y * y + c) % n
+            k = 0
+            while k < span and g == 1:
+                ys = y
+                for _ in range(min(_RHO_BATCH, span - k)):
+                    y = (y * y + c) % n
+                    q = q * (x - y) % n
+                g = math.gcd(q, n)
+                k += _RHO_BATCH
+            span *= 2
+        if g == n:
+            # The batch product hit every factor at once; redo it a step at
+            # a time.
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = math.gcd(x - ys, n)
+        if g != n:
+            return g
 
 
 @lru_cache(maxsize=1 << 15)
 def factorization(x: int) -> tuple[tuple[int, int], ...]:
     """Prime factorization of |x| as ((p, e), ...) with ascending p.  x != 0.
 
-    Plain trial division; intended for the modest integers that occur in
-    sweeps, not for cryptographic sizes.
+    Divides out the primes below 1000, then splits what is left with
+    Brent's rho, proving each part prime with Miller-Rabin.  Raises
+    FactoringLimitError for a cofactor out of reach (see the module
+    docstring); never returns a factor that is not proven prime.
     """
     if x == 0:
         raise ValueError("cannot factor 0")
     a = abs(x)
-    out: list[tuple[int, int]] = []
-    for p in _trial_candidates():
+    exps: dict[int, int] = {}
+    for p in _SMALL_PRIMES:
         if p * p > a:
             break
         if a % p == 0:
@@ -176,10 +186,31 @@ def factorization(x: int) -> tuple[tuple[int, int], ...]:
             while a % p == 0:
                 a //= p
                 e += 1
-            out.append((p, e))
-    if a > 1:
-        out.append((a, 1))
-    return tuple(out)
+            exps[p] = e
+    stack = [a] if a > 1 else []
+    while stack:
+        c = stack.pop()
+        if c < _PRIME_BELOW or _is_prime(c):
+            exps[c] = exps.get(c, 0) + 1
+        else:
+            g = _proper_divisor(c)
+            stack += (g, c // g)
+    return tuple(sorted(exps.items()))
+
+
+def squarefree_split(x: int) -> SquarefreeSplit:
+    """Split x != 0 as d*d * s with s squarefree, returning (d, s)."""
+    d = s = 1
+    for p, e in factorization(x):
+        d *= p ** (e // 2)
+        if e % 2:
+            s *= p
+    return SquarefreeSplit(d, s if x > 0 else -s)
+
+
+@lru_cache(maxsize=None)
+def is_squarefree(x: int) -> bool:
+    return squarefree_split(x).square_part == 1
 
 
 def divisors(x: int) -> tuple[int, ...]:

@@ -192,13 +192,13 @@ def torsion_group(c: CurveMND, weak_bound: bool = False) -> TorsionGroup:
     m2 = 2 * c.m
     q = c.q
     # Fujiwara's bound on the roots of x^3 + 2m*x^2 + q*x - y^2 caps |x|.
-    base_bound = max(abs(m2), intmath._iroot(abs(q), 2) + 1)
+    base_bound = max(abs(m2), intmath.iroot(abs(q), 2) + 1)
     for y, exps in _candidate_ys(items, weak_bound):
         y2 = y * y
         if any(y2 % mod not in attain for mod, attain in tables):
             continue
         # Any integer root x of x^3 + 2m*x^2 + q*x - y^2 divides y^2.
-        xcap = 2 * max(base_bound, intmath._iroot(y2, 3) + 1)
+        xcap = 2 * max(base_bound, intmath.iroot(y2, 3) + 1)
         doubled = tuple(2 * e for e in exps)
         for d in _bounded_divisors(primes, doubled, xcap):
             for x in (d, -d):

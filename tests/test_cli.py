@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from eventorsion.cli import EXIT_INVALID, EXIT_MISMATCH, EXIT_OK, main
+from eventorsion.cli import EXIT_INVALID, EXIT_LIMIT, EXIT_MISMATCH, EXIT_OK, main
 from eventorsion.corpus import CorpusRecord
 from eventorsion.family import sweep_curves
 
@@ -186,6 +186,47 @@ class TestRecordStream:
             assert err == "curves=9060 Z2=8979 Z4=67 Z6=13 Z8=1 disagreements=0\n"
         else:
             assert err.endswith(" disagreements=0 prediction_mismatches=0\n")
+
+
+class TestLargeInputs:
+    """Inputs that trial division rejected or stalled on.  Each runs in a
+    child process with a timeout, so a stall fails the test instead of
+    hanging the suite."""
+
+    @staticmethod
+    def classify(*argv):
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import eventorsion
+
+        return subprocess.run(
+            [sys.executable, "-m", "eventorsion", "classify", *argv],
+            capture_output=True,
+            text=True,
+            cwd=Path(eventorsion.__file__).resolve().parents[1],
+            timeout=30,
+        )
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("3", "2", "1000000000000000003"),  # D prime
+            ("3", "2", "2305843009213693951"),  # D = 2^61 - 1, prime
+            ("5", "2000000000000000006", "3"),  # n/2 = 10^18 + 3, prime
+        ],
+    )
+    def test_large_prime_exits_0(self, argv):
+        proc = self.classify(*argv)
+        assert proc.returncode == EXIT_OK, proc.stderr
+        assert "class: Z2" in proc.stdout
+
+    def test_prime_beyond_proven_range_exits_4(self):
+        d = 2**89 - 1  # prime, above the proven Miller-Rabin range
+        proc = self.classify("3", "2", str(d))
+        assert proc.returncode == EXIT_LIMIT
+        assert str(d) in proc.stderr
 
 
 class TestEntryPoint:

@@ -1,7 +1,7 @@
 import pytest
 
-from eventorsion.classifier import CASES, classify
-from eventorsion.curve import Point, order
+from eventorsion.classifier import CASES, classify, full_report
+from eventorsion.curve import Point, normalize, order
 from eventorsion.family import sample_case
 from eventorsion.intmath import int_sqrt
 
@@ -71,3 +71,28 @@ class TestSampleCase:
         assert len(hit) == 1
         y = int_sqrt(hit[0].curve.rhs(hit[0].predicted_generator_x))
         assert y is not None
+
+
+class TestLargeHeight:
+    # Primes in [10^11, 10^12]: far past trial division, inside the proven
+    # Miller-Rabin range.
+    P, R = 100000000003, 999999999989
+    BOUNDS = {"I": 4, "II": 5, "III": 4, "IV": 25, "V": 20}
+
+    @pytest.mark.parametrize("tag", CASES)
+    def test_scaled_witnesses(self, tag):
+        p, r = self.P, self.R
+        for s in sample_case(tag, self.BOUNDS[tag]):
+            m, n, d = s.curve.m, s.curve.n, s.curve.D
+            # n*sqrt(D*r^2) = n*r*sqrt(D): a different curve, of height ~r.
+            big = normalize(m * p * p, n * p * p, d * r * r)
+            assert (big.m, big.n, big.D) == (m, n * r, d), s
+            full_report(big)  # raises if the class and its generator disagree
+            # The sample's own curve, scaled by (p*r)^2.
+            same = normalize(m * (p * r) ** 2, n * p * p * r, d * r * r)
+            assert same == s.curve, s
+            cls = classify(same)
+            if CASES[tag].exact:
+                assert cls.order == CASES[tag].order, s
+            else:
+                assert cls.order % CASES[tag].order == 0, s

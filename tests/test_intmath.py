@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from eventorsion import intmath
 from eventorsion.intmath import (
-    SquarefreeSplitError,
+    FactoringLimitError,
     divisors,
     factorization,
     gcd,
@@ -92,10 +92,9 @@ class TestSquarefreeSplit:
         p, q = 1000003, 1000033
         assert squarefree_split(p * q) == (1, p * q)
 
-    def test_unclassifiable_cofactor_rejected(self):
+    def test_square_times_prime_cofactor(self):
         p, q = 1000003, 1000033
-        with pytest.raises(SquarefreeSplitError):
-            squarefree_split(p * p * q)
+        assert squarefree_split(p * p * q) == (p, q)
 
 
 class TestDivisors:
@@ -156,6 +155,35 @@ class TestFactorization:
             assert brute_squarefree(p) and all(p % r for r in range(2, min(p, 100)))
             prod *= p**e
         assert prod == x
+
+    def test_matches_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        rng = random.Random(20261018)
+        xs = [rng.randrange(2, 10**24) for _ in range(100)]
+        for _ in range(5):
+            p = sympy.nextprime(rng.randrange(10**9, 10**12))
+            q = sympy.nextprime(rng.randrange(10**9, 10**12))
+            xs.append(p * q)
+        for k, hi in ((2, 10**12), (3, 10**8), (5, 10**7)):
+            p = sympy.nextprime(rng.randrange(10**6, hi))
+            xs += [p**k, 3 * p**k]
+        # Strong pseudoprimes to the bases 2, 3, 5, 7 and to 2..37.
+        xs += [3215031751, 3825123056546413051]
+        # Composite cofactors left once the primes below 1000 are divided
+        # out, the first of them just above 10^6.
+        xs += [1009**2, 1009 * 1013, 2 * 1009 * 9973]
+        for x in xs:
+            want = tuple(sorted(sympy.factorint(x).items()))
+            assert factorization(x) == want, x
+
+    def test_out_of_reach_raises(self):
+        import time
+
+        p, q = 1000000000000037, 1000000000000091  # primes above 10^15
+        start = time.monotonic()
+        with pytest.raises(FactoringLimitError, match=str(p * q)):
+            factorization(p * q)
+        assert time.monotonic() - start < 20
 
     def test_is_squarefree(self):
         assert is_squarefree(30)
