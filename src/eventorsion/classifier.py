@@ -330,11 +330,6 @@ def generator_x(c: CurveMND, cls: TorsionClass) -> int:
     return 0 if cls.witness is None else cls.witness.generator_x(c.D)
 
 
-def doubled_generator_x(c: CurveMND, cls: TorsionClass) -> int:
-    """x-coordinate of twice the generator; not for Z2, whose double is O."""
-    return cls.witness.doubled_x(c.D)
-
-
 def generator(c: CurveMND, cls: TorsionClass) -> Point:
     """Explicit generator point for the class, with canonical y > 0.
 

@@ -203,40 +203,15 @@ def normalize(m: int, n: int, d_raw: int) -> CurveMND:
     return CurveMND(m, n, d0)
 
 
-def _integer_roots_monic_quadratic(b: int, c: int) -> list[int]:
-    """Integer roots of x^2 + b*x + c."""
-    r = intmath.int_sqrt(b * b - 4 * c)
-    if r is None:
-        return []
-    roots = []
-    for s in {r, -r}:
-        num = -b + s
-        if num % 2 == 0:
-            roots.append(num // 2)
-    return roots
-
-
-def _integer_roots_monic_cubic(b: int, c: int, d: int) -> list[int]:
-    """Integer roots of x^3 + b*x^2 + c*x + d, via divisors of the constant."""
-    roots: set[int] = set()
-    if d == 0:
-        roots.add(0)
-        roots.update(_integer_roots_monic_quadratic(b, c))
-    else:
-        for t in intmath.divisors(d):
-            for x in (t, -t):
-                if ((x + b) * x + c) * x + d == 0:
-                    roots.add(x)
-    return sorted(roots)
-
-
 def from_general(cubic: GeneralCubic) -> CurveMND | NonCyclicReport:
     """Recognize a general rational cubic as a member of the family.
 
-    Scales to an integer monic model, finds its rational roots, translates
-    the single rational root to 0, rescales once more by 2 if needed so the
-    middle coefficient is even, and normalizes.  Three rational roots yield
-    a NonCyclicReport; zero rational roots are rejected.
+    Scales to an integer monic model, whose rational roots are its integer
+    roots, found by intmath.cubic_integer_roots without factoring anything;
+    translates the single rational root to 0, rescales once more by 2 if
+    needed so the middle coefficient is even, and normalizes.  Three
+    rational roots yield a NonCyclicReport; zero rational roots are
+    rejected.
     """
     if cubic.discriminant() == 0:
         raise SingularCurveError("cubic has a repeated root")
@@ -246,15 +221,13 @@ def from_general(cubic: GeneralCubic) -> CurveMND | NonCyclicReport:
     b = int(cubic.a2 * scale**2)
     c = int(cubic.a4 * scale**4)
     d = int(cubic.a6 * scale**6)
-    roots = _integer_roots_monic_cubic(b, c, d)
+    roots = intmath.cubic_integer_roots(b, c, d)
     if not roots:
         raise NoRationalTwoTorsionError(
             "cubic has no rational root: no rational point of order 2"
         )
-    if len(roots) >= 3:
-        return NonCyclicReport(
-            tuple(sorted(Fraction(r, scale**2) for r in roots))
-        )
+    if len(roots) == 3:
+        return NonCyclicReport(tuple(Fraction(r, scale**2) for r in roots))
     # A monic rational cubic with two rational roots has a rational third
     # root, so exactly one root remains here.
     (r,) = roots
@@ -295,17 +268,6 @@ def add(c: CurveMND, p: Point, q: Point) -> Point:
     _require_on_curve(c, p)
     _require_on_curve(c, q)
     return _add_raw(c, p, q)
-
-
-def mul(c: CurveMND, k: int, p: Point) -> Point:
-    """Scalar multiple k*p by repeated addition (small k only)."""
-    _require_on_curve(c, p)
-    if k < 0:
-        return mul(c, -k, -p)
-    acc = INFINITY
-    for _ in range(k):
-        acc = _add_raw(c, acc, p)
-    return acc
 
 
 def double_x(c: CurveMND, p: Point) -> Fraction:

@@ -2,8 +2,9 @@
 
 Every rational torsion point on the integral model y^2 = x^3 + 2m*x^2 + q*x
 has integer coordinates with y = 0 or y^2 dividing the discriminant, so the
-whole group is found by enumerating those finitely many candidates and
-keeping the ones of finite order.
+whole group is found by running over those finitely many y, solving
+x^3 + 2m*x^2 + q*x = y^2 exactly for its integer roots x, and keeping the
+points of finite order.
 
 Before enumerating, the oracle bounds the group's order by reduction: at an
 odd prime p of good reduction, rational torsion injects into E(F_p)
@@ -116,38 +117,13 @@ def _delta_factorization(c: CurveMND) -> list[tuple[int, int]]:
     return sorted(fac.items())
 
 
-def _candidate_ys(
-    items: list[tuple[int, int]], weak_bound: bool
-) -> list[tuple[int, tuple[int, ...]]]:
-    """All y with y^2 | delta (y | delta when relaxed), with exponent vectors."""
-    out: list[tuple[int, tuple[int, ...]]] = [(1, ())]
+def _candidate_ys(items: list[tuple[int, int]], weak_bound: bool) -> list[int]:
+    """All y > 0 with y^2 | delta (y | delta when relaxed)."""
+    out = [1]
     for p, e in items:
         cap = e if weak_bound else e // 2
-        grown = []
-        for y, exps in out:
-            pk = 1
-            for k in range(cap + 1):
-                grown.append((y * pk, exps + (k,)))
-                pk *= p
-        out = grown
+        out = [y * p**k for y in out for k in range(cap + 1)]
     return out
-
-
-def _bounded_divisors(primes: list[int], exps: tuple[int, ...], cap: int) -> list[int]:
-    """Divisors of prod(p**e) that do not exceed cap."""
-    vals = [1]
-    for p, e in zip(primes, exps):
-        if not e:
-            continue
-        grown = []
-        for v in vals:
-            for _ in range(e + 1):
-                if v > cap:
-                    break
-                grown.append(v)
-                v *= p
-        vals = grown
-    return vals
 
 
 def _residue_tables(c: CurveMND) -> list[tuple[int, set[int]]]:
@@ -160,15 +136,6 @@ def _residue_tables(c: CurveMND) -> list[tuple[int, set[int]]]:
     return tables
 
 
-def _two_torsion_points(c: CurveMND) -> list[Point]:
-    """Affine points with y = 0: integer roots of x*(x^2 + 2m*x + q)."""
-    pts = [Point(0, 0)]
-    for x in _curve._integer_roots_monic_quadratic(2 * c.m, c.q):
-        if x != 0:
-            pts.append(Point(x, 0))
-    return pts
-
-
 def torsion_group(c: CurveMND, weak_bound: bool = False) -> TorsionGroup:
     """Enumerate the full rational torsion group of the curve.
 
@@ -177,43 +144,31 @@ def torsion_group(c: CurveMND, weak_bound: bool = False) -> TorsionGroup:
     it only ever enlarges the candidate set, and it skips the reduction
     bound, so every candidate is tried.
     """
-    found: dict[Point, int] = {}
-    for p in _two_torsion_points(c):
-        found[p] = 2
+    m2 = 2 * c.m
+    q = c.q
+    # Every point with y = 0 has order 2.
+    found = {Point(x, 0): 2 for x in intmath.cubic_integer_roots(m2, q, 0)}
     # #T divides the bound, and found plus infinity lies in T, so once they
     # are as many as the bound allows they are all of T.
     bound = 0 if weak_bound else reduction_bound(c)
     if len(found) + 1 == bound:
         return _assemble(c, found)
 
-    items = _delta_factorization(c)
-    primes = [p for p, _ in items]
     tables = _residue_tables(c)
-    m2 = 2 * c.m
-    q = c.q
-    # Fujiwara's bound on the roots of x^3 + 2m*x^2 + q*x - y^2 caps |x|.
-    base_bound = max(abs(m2), intmath.iroot(abs(q), 2) + 1)
-    for y, exps in _candidate_ys(items, weak_bound):
+    for y in _candidate_ys(_delta_factorization(c), weak_bound):
         y2 = y * y
         if any(y2 % mod not in attain for mod, attain in tables):
             continue
-        # Any integer root x of x^3 + 2m*x^2 + q*x - y^2 divides y^2.
-        xcap = 2 * max(base_bound, intmath.iroot(y2, 3) + 1)
-        doubled = tuple(2 * e for e in exps)
-        for d in _bounded_divisors(primes, doubled, xcap):
-            for x in (d, -d):
-                if (((x + m2) * x + q) * x) == y2:
-                    p = Point(x, y)
-                    if p in found:
-                        continue
-                    k = _curve.order(c, p)
-                    if k is not None:
-                        # Non-torsion integer points do occur; only finite
-                        # orders are kept.
-                        found[p] = k
-                        found[Point(x, -y)] = k
-                        if len(found) + 1 == bound:
-                            return _assemble(c, found)
+        for x in intmath.cubic_integer_roots(m2, q, -y2):
+            p = Point(x, y)
+            k = _curve.order(c, p)
+            if k is not None:
+                # Non-torsion integer points do occur; only finite orders
+                # are kept.
+                found[p] = k
+                found[Point(x, -y)] = k
+                if len(found) + 1 == bound:
+                    return _assemble(c, found)
     return _assemble(c, found)
 
 

@@ -189,12 +189,12 @@ class TestRecordStream:
 
 
 class TestLargeInputs:
-    """Inputs that trial division rejected or stalled on.  Each runs in a
-    child process with a timeout, so a stall fails the test instead of
-    hanging the suite."""
+    """Inputs that trial division or the oracle's divisor enumeration
+    rejected or stalled on.  Each runs in a child process with a timeout, so
+    a stall fails the test instead of hanging the suite."""
 
     @staticmethod
-    def classify(*argv):
+    def cli(*argv):
         import subprocess
         import sys
         from pathlib import Path
@@ -202,7 +202,7 @@ class TestLargeInputs:
         import eventorsion
 
         return subprocess.run(
-            [sys.executable, "-m", "eventorsion", "classify", *argv],
+            [sys.executable, "-m", "eventorsion", *argv],
             capture_output=True,
             text=True,
             cwd=Path(eventorsion.__file__).resolve().parents[1],
@@ -218,15 +218,35 @@ class TestLargeInputs:
         ],
     )
     def test_large_prime_exits_0(self, argv):
-        proc = self.classify(*argv)
+        proc = self.cli("classify", *argv)
         assert proc.returncode == EXIT_OK, proc.stderr
         assert "class: Z2" in proc.stdout
 
     def test_prime_beyond_proven_range_exits_4(self):
         d = 2**89 - 1  # prime, above the proven Miller-Rabin range
-        proc = self.classify("3", "2", str(d))
+        proc = self.cli("classify", "3", "2", str(d))
         assert proc.returncode == EXIT_LIMIT
         assert str(d) in proc.stderr
+
+    # Z4 curves normalize(a^2 + b^2*D, 2ab, D) with a = 3*5*...*29: the
+    # discriminant has 13 or 14 distinct primes, which gives the oracle
+    # 82,944 to 207,360 candidate y.
+    @pytest.mark.parametrize(
+        "curve",
+        [
+            ("10464232622576958223", "6469693230", "-2"),
+            ("10464232622576958249", "12939386460", "6"),
+            ("10464232622576958217", "12939386460", "-2"),
+        ],
+    )
+    def test_many_prime_discriminant_oracle_exits_0(self, curve):
+        proc = self.cli("oracle", *curve)
+        assert proc.returncode == EXIT_OK, proc.stderr
+        assert "structure: Z4 (order 4)" in proc.stdout
+        proc = self.cli("classify", *curve, "--oracle")
+        assert proc.returncode == EXIT_OK, proc.stderr
+        assert "class: Z4" in proc.stdout
+        assert "agree: yes" in proc.stdout
 
 
 class TestEntryPoint:

@@ -21,7 +21,6 @@ from eventorsion.curve import (
     from_general,
     is_halvable,
     is_square_quad,
-    mul,
     normalize,
     order,
     three_torsion_quartic,
@@ -135,6 +134,13 @@ class TestFromGeneral:
         assert isinstance(result, CurveMND)
         assert result.to_cubic().j_invariant() == GeneralCubic(3, 1, 0).j_invariant()
 
+    def test_large_root_without_factoring(self):
+        # (x - P)(x^2 + 2x - 1) with P a product of two primes near 10^20:
+        # the root is found without factoring the constant term P.
+        p = (10**20 + 39) * (3 * 10**20 + 53)
+        cubic = GeneralCubic(2 - p, -1 - 2 * p, p)
+        assert from_general(cubic) == CurveMND(p + 1, 1, 2)
+
     @given(
         st.integers(min_value=-10, max_value=10),
         st.integers(min_value=1, max_value=6),
@@ -197,9 +203,12 @@ class TestGroupLaw:
 
     def test_scalar_multiples(self):
         p = Point(-1, 2)
-        assert mul(C322, 4, p) == INFINITY
-        assert mul(C322, 2, p) == Point(0, 0)
-        assert mul(C322, -1, p) == Point(-1, -2)
+        p2 = add(C322, p, p)
+        assert p2 == Point(0, 0)
+        assert add(C322, p2, p2) == INFINITY
+        assert -p == Point(-1, -2)
+        assert add(C322, p, -p) == INFINITY
+        assert order(C322, p) == 4
 
 
 class TestDoubleX:
