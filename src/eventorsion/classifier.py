@@ -17,16 +17,18 @@ with an explicit generator x-coordinate:
 Each case is one witness class carrying its tag, order, exact flag, (m, n),
 generator x and doubled x; `CASES` (tag -> class) is the only registry.
 
-All checkers enumerate signed divisor pairs of n/2 deterministically
-(ascending |first parameter|, positive sign first), so the returned witness
-is reproducible.  Every condition forces n even, so odd n always lands in Z2.
+Each class also owns its side conditions, `holds(d)`, and its candidate
+witnesses for a curve, `candidates(c)`, taken over the signed divisor pairs
+of n/2 (ascending |first parameter|, positive first; case II refines case
+I's witness).  One search serves all five checks, so the returned witness is
+reproducible.  Every condition forces n even, so odd n always lands in Z2.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from typing import ClassVar, Optional
+from typing import ClassVar, Iterator, Optional
 
 from . import curve as _curve
 from . import oracle as _oracle
@@ -63,6 +65,16 @@ class WitnessI(Witness, tag="I", order=4, exact=False):
     a: int
     b: int
 
+    @classmethod
+    def candidates(cls, c: CurveMND) -> Iterator[WitnessI]:
+        """Divisor pairs (a, b) of n/2 with a^2 + b^2*D = m."""
+        for a, b in signed_divisor_pairs(c.n // 2):
+            if a * a + b * b * c.D == c.m:
+                yield cls(a, b)
+
+    def holds(self, d: int) -> bool:
+        return self.a * self.b != 0 and math.gcd(self.a, self.b) == 1
+
     def curve_mn(self, d: int) -> tuple[int, int]:
         return self.a**2 + self.b**2 * d, 2 * self.a * self.b
 
@@ -78,6 +90,23 @@ class WitnessII(Witness, tag="II", order=8):
     u: int
     v: int
     w: int
+
+    @classmethod
+    def candidates(cls, c: CurveMND, w1: WitnessI) -> Iterator[WitnessII]:
+        """Refinements of a case-I witness: a = u^2, a + c = v^2 for a sign
+        of c with c^2 = a^2 - b^2*D, and w = b/v."""
+        u = int_sqrt(w1.a)
+        r = int_sqrt(w1.a**2 - w1.b**2 * c.D)
+        if u is None or r is None:
+            return
+        for cc in (r, -r):
+            v = int_sqrt(w1.a + cc)
+            if v and w1.b % v == 0:
+                yield cls(u, v, w1.b // v)
+
+    def holds(self, d: int) -> bool:
+        u, v, w = self.u, self.v, self.w
+        return u * v * w != 0 and 2 * u * u - v * v == w * w * d
 
     def curve_mn(self, d: int) -> tuple[int, int]:
         return (
@@ -98,6 +127,20 @@ class WitnessIII(Witness, tag="III", order=6, exact=False):
     b: int
     c: int
 
+    @classmethod
+    def candidates(cls, c: CurveMND) -> Iterator[WitnessIII]:
+        """Divisor pairs (b, k) of n/2 with k = a + c, an exact
+        a = (k^2 + b^2*D) / (2k), and m = a(2k - a) + b^2*D."""
+        for b, k in signed_divisor_pairs(c.n // 2):
+            b2d = b * b * c.D
+            a, rem = divmod(k * k + b2d, 2 * k)
+            if not rem and a * (2 * k - a) + b2d == c.m:
+                yield cls(a, b, k - a)
+
+    def holds(self, d: int) -> bool:
+        a, b, c = self.a, self.b, self.c
+        return a * b * c != 0 and a * a - b * b * d == c * c and math.gcd(a, b, c) == 1
+
     def curve_mn(self, d: int) -> tuple[int, int]:
         return (
             self.a**2 + 2 * self.a * self.c + self.b**2 * d,
@@ -117,6 +160,23 @@ class WitnessIV(Witness, tag="IV", order=12):
     v: int
     w: int
 
+    @classmethod
+    def candidates(cls, c: CurveMND) -> Iterator[WitnessIV]:
+        """Divisor pairs (v, w) of n/2 with u^2 = v^2 + w^2*D - m a positive
+        square."""
+        for v, w in signed_divisor_pairs(c.n // 2):
+            u = int_sqrt(v * v + w * w * c.D - c.m)
+            if u:
+                yield cls(u, v, w)
+
+    def holds(self, d: int) -> bool:
+        u2, v2, w2d = self.u**2, self.v**2, self.w**2 * d
+        a, b = v2 - w2d, v2 + w2d
+        return (
+            self.u * self.v * self.w != 0
+            and 3 * a**4 - 4 * u2 * a * a * b - 16 * u2 * u2 * v2 * w2d == 0
+        )
+
     def curve_mn(self, d: int) -> tuple[int, int]:
         return self.v**2 - self.u**2 + self.w**2 * d, 2 * self.v * self.w
 
@@ -133,6 +193,29 @@ class WitnessV(Witness, tag="V", order=10):
     t: int
     u: int
     v: int
+
+    @classmethod
+    def candidates(cls, c: CurveMND) -> Iterator[WitnessV]:
+        """Divisor pairs (s, t) of n/2; eliminating v gives
+        u^2 = t^2*D + s^2 - m, then v^2 = 2s^2 + 2su - m, each a positive
+        square, with both signs of u and v tried."""
+        for s, t in signed_divisor_pairs(c.n // 2):
+            u0 = int_sqrt(t * t * c.D + s * s - c.m)
+            if not u0:
+                continue
+            for u in (u0, -u0):
+                v0 = int_sqrt(2 * s * s + 2 * s * u - c.m)
+                if v0:
+                    yield cls(s, t, u, v0)
+                    yield cls(s, t, u, -v0)
+
+    def holds(self, d: int) -> bool:
+        s, t, u, v = self.s, self.t, self.u, self.v
+        return (
+            s * t * u * v != 0
+            and (u - v) ** 2 * (u + v) == 4 * u * v * s
+            and (s + u) ** 2 - v * v == t * t * d
+        )
 
     def curve_mn(self, d: int) -> tuple[int, int]:
         return 2 * self.s * (self.s + self.u) - self.v**2, 2 * self.s * self.t
@@ -183,116 +266,40 @@ class ClassificationReport:
     agree: Optional[bool]
 
 
-def check_case_i(c: CurveMND) -> WitnessI | None:
-    """m = a^2 + b^2*D and n = 2ab with a, b coprime and nonzero."""
+def _first_witness(case: type[Witness], c: CurveMND, *refine: Witness):
+    """The first of `case.candidates(c, *refine)` that satisfies the case's
+    side conditions and gives the curve's (m, n), else None."""
     if c.n % 2:
         return None
-    for a, b in signed_divisor_pairs(c.n // 2):
-        if a * a + b * b * c.D == c.m and math.gcd(a, b) == 1:
-            return WitnessI(a, b)
+    for w in case.candidates(c, *refine):
+        if w.holds(c.D) and w.curve_mn(c.D) == (c.m, c.n):
+            return w
     return None
+
+
+def check_case_i(c: CurveMND) -> WitnessI | None:
+    """Case I's first witness for c (Z4 is contained), or None."""
+    return _first_witness(WitnessI, c)
 
 
 def check_case_ii(c: CurveMND, w1: WitnessI) -> WitnessII | None:
-    """Refine a case-I witness to (u, v, w) with a = u^2, a + c = v^2 for a
-    sign of c with c^2 = a^2 - b^2*D, w = b/v, and 2u^2 - v^2 = w^2*D."""
-    u = int_sqrt(w1.a)
-    if u is None or u == 0:
-        return None
-    r = int_sqrt(w1.a**2 - w1.b**2 * c.D)
-    if r is None:
-        return None
-    for cc in (r, -r):
-        v = int_sqrt(w1.a + cc)
-        if v is None or v == 0:
-            continue
-        if w1.b % v:
-            continue
-        w = w1.b // v
-        if w == 0:
-            continue
-        if 2 * u * u - v * v != w * w * c.D:
-            continue
-        cand = WitnessII(u, v, w)
-        if cand.curve_mn(c.D) == (c.m, c.n):
-            return cand
-    return None
+    """Case II's refinement of the case-I witness w1 (Z8 exactly), or None."""
+    return _first_witness(WitnessII, c, w1)
 
 
 def check_case_iii(c: CurveMND) -> WitnessIII | None:
-    """m = a^2 + 2ac + b^2*D, n = 2b(a+c), a^2 - b^2*D = c^2, gcd(a,b,c) = 1.
-
-    Enumerates (b, k) with b*k = n/2 and k = a + c, solving
-    a = (k^2 + b^2*D) / (2k) and requiring exact divisibility.
-    """
-    if c.n % 2:
-        return None
-    for b, k in signed_divisor_pairs(c.n // 2):
-        a, rem = divmod(k * k + b * b * c.D, 2 * k)
-        if rem:
-            continue
-        cc = k - a
-        if a == 0 or cc == 0:
-            continue
-        if a * a - b * b * c.D != cc * cc:
-            continue
-        if a * a + 2 * a * cc + b * b * c.D != c.m:
-            continue
-        if math.gcd(math.gcd(a, b), cc) != 1:
-            continue
-        return WitnessIII(a, b, cc)
-    return None
+    """Case III's first witness for c (Z6 is contained), or None."""
+    return _first_witness(WitnessIII, c)
 
 
 def check_case_iv(c: CurveMND) -> WitnessIV | None:
-    """m = v^2 - u^2 + w^2*D, n = 2vw, and the degree-4 constraint
-    3A^4 - 4u^2*A^2*B - 16u^4*v^2*w^2*D = 0 (A = v^2 - w^2*D, B = v^2 + w^2*D)."""
-    if c.n % 2:
-        return None
-    for v, w in signed_divisor_pairs(c.n // 2):
-        u2 = v * v + w * w * c.D - c.m
-        if u2 <= 0:
-            continue
-        u = int_sqrt(u2)
-        if u is None:
-            continue
-        a = v * v - w * w * c.D
-        b = v * v + w * w * c.D
-        if 3 * a**4 - 4 * u2 * a * a * b - 16 * u2 * u2 * v * v * w * w * c.D == 0:
-            return WitnessIV(u, v, w)
-    return None
+    """Case IV's first witness for c (Z12 exactly), or None."""
+    return _first_witness(WitnessIV, c)
 
 
 def check_case_v(c: CurveMND) -> WitnessV | None:
-    """m = 2s(s+u) - v^2, n = 2st, (s+u)^2 - v^2 = t^2*D, (u-v)^2*(u+v) = 4uvs.
-
-    Enumerates (s, t) with s*t = n/2; eliminating v gives
-    u^2 = t^2*D + s^2 - m, then v^2 = 2s^2 + 2su - m, each required to be a
-    positive perfect square, with both signs of u and v tried.
-    """
-    if c.n % 2:
-        return None
-    for s, t in signed_divisor_pairs(c.n // 2):
-        u2 = t * t * c.D + s * s - c.m
-        if u2 <= 0:
-            continue
-        u0 = int_sqrt(u2)
-        if u0 is None:
-            continue
-        for u in (u0, -u0):
-            v2 = 2 * s * s + 2 * s * u - c.m
-            if v2 <= 0:
-                continue
-            v0 = int_sqrt(v2)
-            if v0 is None:
-                continue
-            for v in (v0, -v0):
-                if (u - v) ** 2 * (u + v) != 4 * u * v * s:
-                    continue
-                if (s + u) ** 2 - v * v != t * t * c.D:
-                    continue
-                return WitnessV(s, t, u, v)
-    return None
+    """Case V's first witness for c (Z10 exactly), or None."""
+    return _first_witness(WitnessV, c)
 
 
 def classify(c: CurveMND) -> TorsionClass:

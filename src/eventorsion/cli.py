@@ -11,6 +11,7 @@ find within its step budget.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 from collections import Counter
 from typing import TextIO
@@ -45,49 +46,40 @@ def _render_text(report, out: TextIO) -> None:
         print(f"agree: {'yes' if report.agree else 'NO'}", file=out)
 
 
-def _open_out(path: str | None):
+def _open_out(path: str | None) -> contextlib.AbstractContextManager[TextIO]:
     if path is None:
-        return sys.stdout, False
-    return open(path, "w", encoding="utf-8"), True
+        return contextlib.nullcontext(sys.stdout)
+    return open(path, "w", encoding="utf-8")
 
 
 def cmd_classify(args: argparse.Namespace) -> int:
     c = normalize(args.m, args.n, args.D)
     report = full_report(c, with_oracle=args.oracle)
-    out, close = _open_out(args.out)
-    try:
+    with _open_out(args.out) as out:
         if args.format == "records":
             print(CorpusRecord.from_report(report).to_line(), file=out)
         else:
             _render_text(report, out)
-    finally:
-        if close:
-            out.close()
     return EXIT_OK
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
     c = normalize(args.m, args.n, args.D)
     group = _oracle.torsion_group(c)
-    out, close = _open_out(args.out)
-    try:
+    with _open_out(args.out) as out:
         print(f"curve {c}", file=out)
         print(f"structure: {group.structure} (order {group.order})", file=out)
         print(f"reduction bound: {_oracle.reduction_bound(c)}", file=out)
         print(f"elements: {', '.join(str(p) for p in group.elements)}", file=out)
         print(f"generators: {', '.join(str(p) for p in group.generators)}", file=out)
-    finally:
-        if close:
-            out.close()
     return EXIT_OK
 
 
 def _emit_records(reports, args, check_predicted=None) -> int:
-    out, close = _open_out(args.out)
     counts: Counter[str] = Counter()
     disagreements = 0
     mismatches = 0
-    try:
+    with _open_out(args.out) as out:
         for report in reports:
             record = CorpusRecord.from_report(report)
             counts[record.cls] += 1
@@ -110,9 +102,6 @@ def _emit_records(reports, args, check_predicted=None) -> int:
                     f" generator=({gen.x},{gen.y}){oracle_part}",
                     file=out,
                 )
-    finally:
-        if close:
-            out.close()
     parts = [f"curves={sum(counts.values())}"]
     parts += [f"{label}={counts[label]}" for label in sorted(counts)]
     parts.append(f"disagreements={disagreements}")

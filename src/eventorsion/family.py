@@ -1,8 +1,10 @@
 """Forward direction: sample witness tuples per case and emit labeled curves.
 
-Each sampler enumerates the case's witnesses up to a bound, skipping tuples
-violating the side conditions (nonzero, coprime, squarefree D, D != 1); the
-witness class gives (m, n), the predicted class and generator x-coordinate.
+Each sampler enumerates the case's parameters up to a bound, with a
+squarefree D != 1 enumerated or derived from them; `sample_case` keeps the
+tuples whose witness satisfies its class's side conditions (`holds`) and
+gives n != 0, and the witness class gives (m, n), the predicted class and
+generator x-coordinate.
 Tuples normalizing to a previously emitted curve are deduplicated; output is
 sorted by (m, n, D) so the order is canonical.  `sweep_curves` enumerates
 every normalized curve of a box instead.
@@ -10,6 +12,7 @@ every normalized curve of a box instead.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterator
@@ -57,73 +60,52 @@ _RawSample = tuple[Witness, int]  # witness, D
 def _iter_case_i(bound: int, d_limit: int) -> Iterator[_RawSample]:
     ds = _squarefree_ds(d_limit)
     # Sign flips of (a, b) only swap conjugates or negate n: same curve.
-    for a in range(1, bound + 1):
-        for b in range(1, bound + 1):
-            if math.gcd(a, b) != 1:
-                continue
-            for d in ds:
-                yield WitnessI(a, b), d
+    for a, b in itertools.product(range(1, bound + 1), repeat=2):
+        witness = WitnessI(a, b)
+        for d in ds:
+            yield witness, d
 
 
 def _iter_case_ii(bound: int, d_limit: int) -> Iterator[_RawSample]:
-    for u in range(1, bound + 1):
-        for v in range(1, bound + 1):
-            w, d = intmath.squarefree_split(2 * u * u - v * v)
-            if d == 1:
-                continue
+    for u, v in itertools.product(range(1, bound + 1), repeat=2):
+        w, d = intmath.squarefree_split(2 * u * u - v * v)
+        if d != 1:
             yield WitnessII(u, v, w), d
 
 
 def _iter_case_iii(bound: int, d_limit: int) -> Iterator[_RawSample]:
     ds = _squarefree_ds(d_limit)
     # (a, c) -> (-a, -c) negates n only, so a stays positive.
-    for a in range(1, bound + 1):
-        for b in range(1, bound + 1):
-            for d in ds:
-                r = intmath.int_sqrt(a * a - b * b * d)
-                if r is None or r == 0:
-                    continue
-                for c in (r, -r):
-                    if a + c == 0:
-                        continue
-                    if math.gcd(math.gcd(a, b), c) != 1:
-                        continue
-                    yield WitnessIII(a, b, c), d
+    for a, b in itertools.product(range(1, bound + 1), repeat=2):
+        for d in ds:
+            r = intmath.int_sqrt(a * a - b * b * d)
+            if r:
+                yield WitnessIII(a, b, r), d
+                yield WitnessIII(a, b, -r), d
 
 
 def _iter_case_iv(bound: int, d_limit: int) -> Iterator[_RawSample]:
     ds = _squarefree_ds(d_limit)
     # Only u^2, v^2, w^2 enter the constraint and the curve, so positive
     # representatives suffice.
-    for u in range(1, bound + 1):
-        u2 = u * u
-        for v in range(1, bound + 1):
-            v2 = v * v
-            for w in range(1, bound + 1):
-                w2 = w * w
-                for d in ds:
-                    a = v2 - w2 * d
-                    b = v2 + w2 * d
-                    if 3 * a**4 - 4 * u2 * a * a * b - 16 * u2 * u2 * v2 * w2 * d:
-                        continue
-                    yield WitnessIV(u, v, w), d
+    for u, v, w in itertools.product(range(1, bound + 1), repeat=3):
+        witness = WitnessIV(u, v, w)
+        for d in ds:
+            yield witness, d
 
 
 def _iter_case_v(bound: int, d_limit: int) -> Iterator[_RawSample]:
     for u in range(1, bound + 1):
         for v in range(-bound, bound + 1):
-            if v == 0 or u == v or u == -v:
+            if v == 0:
                 continue
+            # u = +-v gives s = 0, where t^2*D = 0 fixes no D.
             s, rem = divmod((u - v) ** 2 * (u + v), 4 * u * v)
             if rem or s == 0:
                 continue
-            t2d = (s + u) ** 2 - v * v
-            if t2d == 0:
-                continue
-            t, d = intmath.squarefree_split(t2d)
-            if d == 1:
-                continue
-            yield WitnessV(s, t, u, v), d
+            t, d = intmath.squarefree_split((s + u) ** 2 - v * v)
+            if d != 1:
+                yield WitnessV(s, t, u, v), d
 
 
 _CASE_ITERATORS = {
@@ -151,7 +133,11 @@ def sample_case(
         d_limit = _D_RANGE_FACTOR * bound
     out: dict[tuple[int, int, int], FamilySample] = {}
     for witness, d in _CASE_ITERATORS[case_tag](bound, d_limit):
+        if not witness.holds(d):
+            continue
         m, n = witness.curve_mn(d)
+        if n == 0:
+            continue
         cur = _curve.normalize(m, n, d)
         key = (cur.m, cur.n, cur.D)
         if key in out:

@@ -22,8 +22,10 @@ group is checked against.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
 from . import curve as _curve
 from . import intmath
@@ -117,13 +119,12 @@ def _delta_factorization(c: CurveMND) -> list[tuple[int, int]]:
     return sorted(fac.items())
 
 
-def _candidate_ys(items: list[tuple[int, int]], weak_bound: bool) -> list[int]:
-    """All y > 0 with y^2 | delta (y | delta when relaxed)."""
-    out = [1]
-    for p, e in items:
-        cap = e if weak_bound else e // 2
-        out = [y * p**k for y in out for k in range(cap + 1)]
-    return out
+def _candidate_ys(items: list[tuple[int, int]], weak_bound: bool) -> Iterator[int]:
+    """All y > 0 with y^2 | delta (y | delta when relaxed), one at a time."""
+    powers = [
+        [p**k for k in range((e if weak_bound else e // 2) + 1)] for p, e in items
+    ]
+    return map(math.prod, itertools.product(*powers))
 
 
 def _residue_tables(c: CurveMND) -> list[tuple[int, set[int]]]:

@@ -1,4 +1,5 @@
 from collections import Counter
+from dataclasses import fields, replace
 from itertools import product
 
 import pytest
@@ -109,6 +110,37 @@ class TestCaseV:
     def test_523_absent(self):
         # u^2 = 3 + 1 - 5 < 0 for every divisor pair
         assert check_case_v(C523) is None
+
+
+class TestHolds:
+    # Each pinned witness, and copies with one parameter moved off a case
+    # relation: V's t = 5 breaks only (s+u)^2 - v^2 = t^2*D, and its
+    # s = -22 only (u-v)^2*(u+v) = 4uvs.
+    @pytest.mark.parametrize(
+        "curve,witness,broken",
+        [
+            (C322, WitnessI(1, 1), [WitnessI(1, 0)]),
+            (C2387, WitnessII(2, 1, 1), [WitnessII(2, 1, 2)]),
+            (C59246, WitnessIII(5, 2, 1), [WitnessIII(5, 2, 2)]),
+            (Z12_CURVE, Z12_WITNESS_IV, [WitnessIV(24, 15, 2)]),
+            (C953210, WitnessV(4, 4, 9, 3), [WitnessV(4, 5, 9, 3), WitnessV(-22, 4, 9, 3)]),
+        ],
+        ids=list(CASES),
+    )
+    def test_pinned(self, curve, witness, broken):
+        assert witness.holds(curve.D)
+        assert witness.curve_mn(curve.D) == (curve.m, curve.n)
+        for w in broken:
+            assert not w.holds(curve.D), w
+        for f in fields(witness):
+            assert not replace(witness, **{f.name: 0}).holds(curve.D), f.name
+
+    @pytest.mark.parametrize(
+        "witness,d", [(WitnessI(2, 2), C322.D), (WitnessIII(10, 4, 2), C59246.D)]
+    )
+    def test_coprime(self, witness, d):
+        # Twice a valid witness keeps the relation but not the gcd condition.
+        assert not witness.holds(d)
 
 
 class TestClassify:

@@ -5,6 +5,9 @@ from eventorsion.curve import Point, normalize, order
 from eventorsion.family import sample_case
 from eventorsion.intmath import int_sqrt
 
+# Small bounds that still give samples for every case.
+SAMPLE_BOUNDS = [("I", 4), ("II", 5), ("III", 4), ("V", 20), ("IV", 25)]
+
 
 class TestSampleCase:
     def test_case_i_bound_one_reaches_322(self):
@@ -44,7 +47,7 @@ class TestSampleCase:
     def test_deterministic(self):
         assert sample_case("III", 5) == sample_case("III", 5)
 
-    @pytest.mark.parametrize("tag,bound", [("I", 4), ("II", 5), ("III", 4), ("V", 20), ("IV", 25)])
+    @pytest.mark.parametrize("tag,bound", SAMPLE_BOUNDS)
     def test_samples_are_classified_consistently(self, tag, bound):
         samples = sample_case(tag, bound)
         assert samples, f"case {tag} produced nothing at bound {bound}"
@@ -56,12 +59,17 @@ class TestSampleCase:
             else:
                 assert cls.order == CASES[tag].order, s
 
-    @pytest.mark.parametrize("tag,bound", [("I", 4), ("II", 5), ("III", 4), ("V", 20), ("IV", 25)])
+    @pytest.mark.parametrize("tag,bound", SAMPLE_BOUNDS)
     def test_predicted_generators_lie_on_curve_with_predicted_order(self, tag, bound):
         for s in sample_case(tag, bound):
             y = int_sqrt(s.curve.rhs(s.predicted_generator_x))
             assert y is not None, s
             assert order(s.curve, Point(s.predicted_generator_x, y)) == s.predicted.order
+
+    @pytest.mark.parametrize("tag,bound", SAMPLE_BOUNDS)
+    def test_witnesses_satisfy_side_conditions(self, tag, bound):
+        for s in sample_case(tag, bound):
+            assert s.params.holds(s.curve.D), s
 
     def test_normalization_rescale_keeps_prediction(self):
         # (u, v) = (18, 6) parametrizes the same curve as (9, 3) scaled by 4;

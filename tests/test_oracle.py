@@ -1,10 +1,19 @@
-from itertools import product
+import tracemalloc
+from itertools import islice, product
 
 import pytest
 
 from eventorsion import oracle
 from eventorsion.classifier import CASES
-from eventorsion.curve import INFINITY, CurveMND, InvalidCurveError, Point, add, order
+from eventorsion.curve import (
+    INFINITY,
+    CurveMND,
+    InvalidCurveError,
+    Point,
+    add,
+    normalize,
+    order,
+)
 from eventorsion.family import sample_case, sweep_curves
 from eventorsion.oracle import (
     MAZUR_STRUCTURES,
@@ -156,6 +165,22 @@ def enumerations(monkeypatch):
         oracle, "_delta_factorization", lambda c: calls.append(c) or real(c)
     )
     return calls
+
+
+def test_candidate_ys_are_lazy():
+    # 207,360 candidate y for this many-prime curve; taking the first
+    # thousand must not build the rest.
+    c = normalize(10464232622576958223, 6469693230, -2)
+    items = oracle._delta_factorization(c)
+    tracemalloc.start()
+    try:
+        ys = list(islice(oracle._candidate_ys(items, weak_bound=False), 1000))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(ys) == 1000 and len(set(ys)) == 1000
+    assert all(discriminant(c) % (y * y) == 0 for y in ys)
+    assert peak < 1 << 20, peak
 
 
 class TestReductionBound:
