@@ -261,7 +261,6 @@ class ClassificationReport:
     curve: CurveMND
     cls: TorsionClass
     generator: Point
-    generator_order: int
     oracle_group: Optional[_oracle.TorsionGroup]
     agree: Optional[bool]
 
@@ -368,7 +367,7 @@ def full_report(c: CurveMND, with_oracle: bool = False) -> ClassificationReport:
     agree = None
     if group is not None:
         agree = group.structure == cls.label and group.order == cls.order
-    return ClassificationReport(c, cls, gen, k, group, agree)
+    return ClassificationReport(c, cls, gen, group, agree)
 
 
 def case_witnesses(c: CurveMND) -> dict[str, Witness | None]:

@@ -37,9 +37,7 @@ def _render_text(report, out: TextIO) -> None:
     print(f"class: {report.cls.label}", file=out)
     w = report.cls.witness
     print(f"witness: {w.tag}{w.params}" if w else "witness: none", file=out)
-    print(
-        f"generator: {report.generator}  order {report.generator_order}", file=out
-    )
+    print(f"generator: {report.generator}  order {report.cls.order}", file=out)
     if report.oracle_group is not None:
         g = report.oracle_group
         print(f"oracle: {g.structure} (order {g.order})", file=out)

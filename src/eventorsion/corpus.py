@@ -72,15 +72,14 @@ class CorpusRecord:
 
     @classmethod
     def from_report(cls, report: ClassificationReport) -> "CorpusRecord":
-        gen = report.generator
         return cls(
             m=report.curve.m,
             n=report.curve.n,
             D=report.curve.D,
             cls=report.cls.label,
             witness=report.cls.witness,
-            generator_x=_exact_int(gen.x),
-            generator_y=_exact_int(gen.y),
+            generator_x=report.generator.x,
+            generator_y=report.generator.y,
             oracle_order=None if report.oracle_group is None else report.oracle_group.order,
             agree=report.agree,
         )
@@ -127,8 +126,3 @@ class CorpusRecord:
         except ValueError as exc:
             raise CorpusFormatError(f"bad record values in {line!r}") from exc
 
-
-def _exact_int(value) -> int:
-    if value.denominator != 1:
-        raise ValueError(f"{value} is not an integer")
-    return value.numerator

@@ -8,7 +8,9 @@ which expands over the rationals to the integral model
 
     y^2 = x^3 + 2m*x^2 + q*x,       q = M*N = m^2 - n^2*D.
 
-All arithmetic is exact; points carry Fraction coordinates.
+All arithmetic is exact.  An integral coordinate is an int; a Fraction
+appears only where the exact result is not an integer, so the group law on
+the model's torsion points, all integral (Nagell-Lutz), runs on ints.
 """
 
 from __future__ import annotations
@@ -18,6 +20,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import intmath
+
+
+MAX_TORSION_ORDER = 12  # Mazur: no rational torsion point has a larger order
 
 
 class InvalidCurveError(ValueError):
@@ -80,21 +85,21 @@ class CurveMND:
 
 @dataclass(frozen=True)
 class Point:
-    """Affine point with exact rational coordinates, or the point at infinity.
+    """Affine point with exact int or Fraction coordinates, or infinity.
 
     Point() is the point at infinity; module constant INFINITY is provided.
     """
 
-    x: Fraction | None = None
-    y: Fraction | None = None
+    x: int | Fraction | None = None
+    y: int | Fraction | None = None
 
     def __post_init__(self) -> None:
         if (self.x is None) != (self.y is None):
             raise ValueError("both coordinates or neither")
-        if self.x is not None and not isinstance(self.x, Fraction):
-            object.__setattr__(self, "x", Fraction(self.x))
-        if self.y is not None and not isinstance(self.y, Fraction):
-            object.__setattr__(self, "y", Fraction(self.y))
+        if self.x is not None and not (
+            isinstance(self.x, (int, Fraction)) and isinstance(self.y, (int, Fraction))
+        ):
+            raise TypeError(f"coordinates must be int or Fraction: {self!r}")
 
     @property
     def is_infinity(self) -> bool:
@@ -247,6 +252,12 @@ def _require_on_curve(c: CurveMND, point: Point) -> None:
         raise PointNotOnCurveError(f"{point} is not on {c}")
 
 
+def _exact_div(a: int | Fraction, b: int | Fraction) -> int | Fraction:
+    """a / b exactly: the int quotient when b divides a, else a Fraction."""
+    quotient, remainder = divmod(a, b)
+    return quotient if remainder == 0 else Fraction(a, b)
+
+
 def _add_raw(c: CurveMND, p: Point, q: Point) -> Point:
     if p.is_infinity:
         return q
@@ -255,9 +266,9 @@ def _add_raw(c: CurveMND, p: Point, q: Point) -> Point:
     if p.x == q.x:
         if p.y == -q.y:
             return INFINITY
-        lam = (3 * p.x * p.x + 4 * c.m * p.x + c.q) / (2 * p.y)
+        lam = _exact_div(3 * p.x * p.x + 4 * c.m * p.x + c.q, 2 * p.y)
     else:
-        lam = (q.y - p.y) / (q.x - p.x)
+        lam = _exact_div(q.y - p.y, q.x - p.x)
     x3 = lam * lam - 2 * c.m - p.x - q.x
     y3 = lam * (p.x - x3) - p.y
     return Point(x3, y3)
@@ -270,19 +281,19 @@ def add(c: CurveMND, p: Point, q: Point) -> Point:
     return _add_raw(c, p, q)
 
 
-def double_x(c: CurveMND, p: Point) -> Fraction:
+def double_x(c: CurveMND, p: Point) -> int | Fraction:
     """x(2P) via the closed form ((x^2 - q) / (2y))^2, q = M*N."""
     _require_on_curve(c, p)
     if p.is_infinity or p.y == 0:
         raise ValueError("2P is the point at infinity; x(2P) undefined")
-    t = (p.x * p.x - c.q) / (2 * p.y)
+    t = _exact_div(p.x * p.x - c.q, 2 * p.y)
     return t * t
 
 
-def order(c: CurveMND, p: Point, cap: int = 12) -> int | None:
+def order(c: CurveMND, p: Point) -> int | None:
     """Order of p, or None for infinite order.
 
-    Torsion orders are capped at 12 (no larger order occurs over Q), and any
+    Torsion orders are capped at MAX_TORSION_ORDER (Mazur), and any
     multiple with a non-integer coordinate proves infinite order on this
     integral model, so the scan aborts there immediately.
     """
@@ -292,7 +303,7 @@ def order(c: CurveMND, p: Point, cap: int = 12) -> int | None:
     if not p.is_integral:
         return None
     acc = p
-    for k in range(2, cap + 1):
+    for k in range(2, MAX_TORSION_ORDER + 1):
         acc = _add_raw(c, acc, p)
         if acc.is_infinity:
             return k
@@ -346,15 +357,14 @@ def is_halvable(c: CurveMND, p: Point) -> bool:
         raise ValueError("halving test expects an affine point")
     shifts = (
         QuadElement(p.x, 0, c.D),
-        QuadElement(p.x + c.m, Fraction(c.n), c.D),
-        QuadElement(p.x + c.m, Fraction(-c.n), c.D),
+        QuadElement(p.x + c.m, c.n, c.D),
+        QuadElement(p.x + c.m, -c.n, c.D),
     )
     return all(is_square_quad(z) is not None for z in shifts)
 
 
-def three_torsion_quartic(c: CurveMND, x: Fraction | int) -> Fraction:
+def three_torsion_quartic(c: CurveMND, x: Fraction | int) -> Fraction | int:
     """Evaluate 3x^4 + 8m*x^3 + 6q*x^2 - q^2, which vanishes exactly at the
     x-coordinates of points of order 3 (using M + N = 2m, M*N = q)."""
-    x = Fraction(x)
     q = c.q
     return 3 * x**4 + 8 * c.m * x**3 + 6 * q * x * x - q * q

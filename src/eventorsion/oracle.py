@@ -4,7 +4,9 @@ Every rational torsion point on the integral model y^2 = x^3 + 2m*x^2 + q*x
 has integer coordinates with y = 0 or y^2 dividing the discriminant, so the
 whole group is found by running over those finitely many y, solving
 x^3 + 2m*x^2 + q*x = y^2 exactly for its integer roots x, and keeping the
-points of finite order.
+points of finite order, all with int coordinates.  (0, 0) is a family
+member's only point of order 2, so the group is cyclic: it is assembled as
+the multiples of its first sorted point of order #T.
 
 Before enumerating, the oracle bounds the group's order by reduction: at an
 odd prime p of good reduction, rational torsion injects into E(F_p)
@@ -174,65 +176,32 @@ def torsion_group(c: CurveMND, weak_bound: bool = False) -> TorsionGroup:
 
 
 def _assemble(c: CurveMND, found: dict[Point, int]) -> TorsionGroup:
-    elements = tuple(
-        [INFINITY] + sorted(found, key=lambda p: (p.x, p.y))
-    )
-    total = len(elements)
+    # x^2 + 2m*x + q has discriminant 4n^2*D, never a square for squarefree
+    # D != 1, so y = 0 only at (0, 0) and the group is cyclic.
     two_torsion = [p for p in found if p.y == 0]
-
-    def first_of_order(k: int) -> Point | None:
-        # Elements are sorted, so the generator choice is canonical.
-        return next((p for p in elements[1:] if found[p] == k), None)
-
-    if len(two_torsion) <= 1:
-        if total == 1:
-            return TorsionGroup(elements, "Z1", ())
-        gen = first_of_order(total)
-        if gen is None:
-            raise OracleError(f"{c}: no element of order {total} in cyclic group")
-        group = TorsionGroup(elements, f"Z{total}", (gen,))
-    elif len(two_torsion) == 3:
-        half = total // 2
-        gen = first_of_order(half)
-        if gen is None:
-            raise OracleError(f"{c}: no element of order {total}/2")
-        cyc = _multiples(c, gen, half)
-        extra = next(
-            (t for t in sorted(two_torsion, key=lambda p: p.x) if t not in cyc), None
-        )
-        if extra is None:
-            raise OracleError(f"{c}: 2-torsion not split")
-        group = TorsionGroup(elements, f"Z2xZ{half}", (extra, gen))
-    else:
+    if len(two_torsion) != 1:
         raise OracleError(f"{c}: {len(two_torsion)} points of order 2")
-
+    elements = tuple([INFINITY] + sorted(found, key=lambda p: (p.x, p.y)))
+    total = len(elements)
+    # Elements are sorted, so the generator choice is canonical.
+    gen = next((p for p in elements[1:] if found[p] == total), None)
+    if gen is None:
+        raise OracleError(f"{c}: no element of order {total} in cyclic group")
+    group = TorsionGroup(elements, f"Z{total}", (gen,))
     if group.structure not in MAZUR_STRUCTURES:
         raise OracleError(f"{c}: impossible torsion structure {group.structure}")
-    if _span(c, group) != set(elements):
+    # gen's multiples must be exactly the found points.
+    span = set()
+    acc = INFINITY
+    for _ in range(total):
+        acc = _curve._add_raw(c, acc, gen)
+        span.add(acc)
+    if span != set(elements):
         raise OracleError(f"{c}: enumerated points do not form a group")
     return group
 
 
-def _multiples(c: CurveMND, p: Point, k: int) -> set[Point]:
-    out = {INFINITY}
-    acc = INFINITY
-    for _ in range(k):
-        acc = _curve._add_raw(c, acc, p)
-        out.add(acc)
-    return out
-
-
-def _span(c: CurveMND, group: TorsionGroup) -> set[Point]:
-    if not group.generators:
-        return {INFINITY}
-    if group.is_cyclic:
-        return _multiples(c, group.generators[0], group.order)
-    extra, gen = group.generators
-    cyc = _multiples(c, gen, group.order // 2)
-    return cyc | {_curve._add_raw(c, extra, p) for p in cyc}
-
-
-def assert_family_shape(group: TorsionGroup, c: CurveMND) -> bool:
+def assert_family_shape(group: TorsionGroup) -> bool:
     """True when the group is cyclic of even order 2..12, the only shapes a
     family member can have (its cubic has exactly one rational root)."""
     return group.is_cyclic and group.order in (2, 4, 6, 8, 10, 12)

@@ -121,7 +121,7 @@ def sweep() -> SweepData:
             data.doubling_mismatches += _doubling_mismatches(c, cls, gen)
 
         # criterion 5: structural invariants
-        if not assert_family_shape(group, c):
+        if not assert_family_shape(group):
             data.shape_violations.append((key, group.structure))
         affine = [p for p in group.elements if not p.is_infinity]
         for p in affine:

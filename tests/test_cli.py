@@ -27,6 +27,18 @@ class TestClassifyCommand:
         assert code == EXIT_OK
         assert "m=3, n=2, D=5" in out
 
+    def test_classify_full_text(self, capsys):
+        code, out, _ = run(capsys, "classify", "95", "32", "10", "--oracle")
+        assert code == EXIT_OK
+        assert out == (
+            "curve (m=95, n=32, D=10): y^2 = x^3 + 190*x^2 + -1215*x\n"
+            "class: Z10\n"
+            "witness: V(4, 4, 9, 3)\n"
+            "generator: (-15, 240)  order 10\n"
+            "oracle: Z10 (order 10)\n"
+            "agree: yes\n"
+        )
+
     def test_invalid_n_exits_2(self, capsys):
         code, _, err = run(capsys, "classify", "3", "0", "2")
         assert code == EXIT_INVALID
@@ -54,6 +66,18 @@ class TestOracleCommand:
         assert bound_line.startswith("reduction bound: ")
         bound = int(bound_line.removeprefix("reduction bound: "))
         assert bound > 0 and bound % 10 == 0
+
+    def test_oracle_full_text(self, capsys):
+        code, out, _ = run(capsys, "oracle", "95", "32", "10")
+        assert code == EXIT_OK
+        assert out == (
+            "curve (m=95, n=32, D=10): y^2 = x^3 + 190*x^2 + -1215*x\n"
+            "structure: Z10 (order 10)\n"
+            "reduction bound: 10\n"
+            "elements: infinity, (-135, -1080), (-135, 1080), (-15, -240), "
+            "(-15, 240), (0, 0), (9, -72), (9, 72), (81, -1296), (81, 1296)\n"
+            "generators: (-135, -1080)\n"
+        )
 
     def test_oracle_reduction_bound_settles_z2(self, capsys):
         code, out, _ = run(capsys, "oracle", "5", "2", "3")

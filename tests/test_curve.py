@@ -201,6 +201,17 @@ class TestGroupLaw:
         for p, q, r in product(pts, repeat=3):
             assert add(c, add(c, p, q), r) == add(c, p, add(c, q, r))
 
+    def test_non_integral_sum_has_fraction_coordinates(self):
+        c = CurveMND(0, 1, 2)  # y^2 = x^3 - 2x
+        p2 = add(c, Point(2, 2), Point(2, 2))
+        assert p2 == Point(Fraction(9, 4), Fraction(-21, 8))
+        assert type(p2.x) is Fraction and type(p2.y) is Fraction
+        assert c.contains(p2)
+
+    def test_float_coordinate_rejected(self):
+        with pytest.raises(TypeError):
+            Point(1.5, 2)
+
     def test_scalar_multiples(self):
         p = Point(-1, 2)
         p2 = add(C322, p, p)

@@ -11,6 +11,7 @@ from eventorsion.curve import (
     InvalidCurveError,
     Point,
     add,
+    double_x,
     normalize,
     order,
 )
@@ -122,6 +123,20 @@ class TestTorsionGroup:
             for p in torsion_group(CurveMND(*triple)).elements:
                 assert p.is_integral
 
+    def test_integral_points_stay_ints(self):
+        def ints(p):
+            return p.is_infinity or (type(p.x) is int and type(p.y) is int)
+
+        for triple, _ in PINNED:
+            c = CurveMND(*triple)
+            elements = torsion_group(c).elements
+            assert all(ints(p) for p in elements), c
+            for p, q in product(elements, repeat=2):
+                assert ints(add(c, p, q)), (c, p, q)
+            for p in elements:
+                if not p.is_infinity and p.y != 0:
+                    assert type(double_x(c, p)) is int, (c, p)
+
     def test_generators_span(self):
         g = torsion_group(C323)
         (gen,) = g.generators
@@ -223,17 +238,49 @@ class TestReductionBound:
         _assert_paths_agree(s.curve for s in samples)
 
 
+class TestAssemble:
+    """_assemble's checks, each on a point set that violates it."""
+
+    def test_no_two_torsion_point(self):
+        with pytest.raises(oracle.OracleError, match="0 points of order 2"):
+            oracle._assemble(C322, {Point(-1, 2): 4, Point(-1, -2): 4})
+
+    def test_two_two_torsion_points(self):
+        with pytest.raises(oracle.OracleError, match="2 points of order 2"):
+            oracle._assemble(C322, {Point(0, 0): 2, Point(1, 0): 2})
+
+    def test_no_element_of_full_order(self):
+        with pytest.raises(oracle.OracleError, match="no element of order 3"):
+            oracle._assemble(C322, {Point(0, 0): 2, Point(-1, 2): 4})
+
+    def test_label_outside_mazur_list(self):
+        found = {Point(0, 0): 2} | {Point(x, 1): 11 for x in range(1, 10)}
+        with pytest.raises(oracle.OracleError, match="impossible torsion structure Z11"):
+            oracle._assemble(C322, found)
+
+    def test_not_closed_under_group_law(self):
+        found = {Point(0, 0): 2, Point(-1, 2): 4, Point(5, 7): 4}
+        with pytest.raises(oracle.OracleError, match="do not form a group"):
+            oracle._assemble(C322, found)
+
+    def test_enumerated_group_assembles(self):
+        found = {Point(0, 0): 2, Point(-1, 2): 4, Point(-1, -2): 4}
+        group = oracle._assemble(C322, found)
+        assert group == torsion_group(C322)
+        assert group.generators == (Point(-1, -2),)
+
+
 class TestFamilyShape:
     def test_true_on_family(self):
-        assert assert_family_shape(torsion_group(C322), C322)
+        assert assert_family_shape(torsion_group(C322))
 
     def test_false_on_product_structure(self):
         fake = TorsionGroup((INFINITY,), "Z2xZ2", ())
-        assert not assert_family_shape(fake, C322)
+        assert not assert_family_shape(fake)
 
     def test_false_on_odd_cyclic(self):
         fake = TorsionGroup((INFINITY,), "Z7", ())
-        assert not assert_family_shape(fake, C322)
+        assert not assert_family_shape(fake)
 
     def test_mazur_labels(self):
         assert "Z11" not in MAZUR_STRUCTURES
