@@ -15,7 +15,8 @@ with an explicit generator x-coordinate:
                                  (s+u)^2 - v^2 = t^2*D,  (u-v)^2*(u+v) = 4uvs
 
 Each case is one witness class carrying its tag, order, exact flag, (m, n),
-generator x and doubled x; `CASES` (tag -> class) is the only registry.
+generator x and doubled x; `CASES` (tag -> class) is the only registry, and
+a TorsionClass holds only the witness that decided it (none for Z2).
 
 Each class also owns its side conditions, `holds(d)`, and its candidate
 witnesses for a curve, `candidates(c)`, taken over the signed divisor pairs
@@ -239,17 +240,13 @@ CASES: dict[str, type[Witness]] = {
 
 @dataclass(frozen=True)
 class TorsionClass:
-    """Cyclic torsion class Z{order} with the witness that produced it."""
+    """Cyclic torsion class Z{order}, decided by its witness (None for Z2)."""
 
-    order: int
     witness: Optional[Witness]
 
-    def __post_init__(self) -> None:
-        if self.order == 2:
-            if self.witness is not None:
-                raise ValueError("Z2 carries no witness")
-        elif self.witness is None or self.witness.order != self.order:
-            raise ValueError(f"order {self.order} needs a matching witness")
+    @property
+    def order(self) -> int:
+        return 2 if self.witness is None else self.witness.order
 
     @property
     def label(self) -> str:
@@ -317,18 +314,18 @@ def classify(c: CurveMND) -> TorsionClass:
             raise InconsistencyError(
                 f"{c}: Z4 and Z6 criteria both hold but the Z12 criterion fails"
             )
-        return TorsionClass(12, w4)
+        return TorsionClass(w4)
     if w1 is not None:
         w2 = check_case_ii(c, w1)
         if w2 is not None:
-            return TorsionClass(8, w2)
-        return TorsionClass(4, w1)
+            return TorsionClass(w2)
+        return TorsionClass(w1)
     if w3 is not None:
-        return TorsionClass(6, w3)
+        return TorsionClass(w3)
     w5 = check_case_v(c)
     if w5 is not None:
-        return TorsionClass(10, w5)
-    return TorsionClass(2, None)
+        return TorsionClass(w5)
+    return TorsionClass(None)
 
 
 def generator_x(c: CurveMND, cls: TorsionClass) -> int:
@@ -363,11 +360,10 @@ def full_report(c: CurveMND, with_oracle: bool = False) -> ClassificationReport:
         raise InconsistencyError(
             f"{c}: generator {gen} has order {k}, expected {cls.order}"
         )
-    group = _oracle.torsion_group(c) if with_oracle else None
-    agree = None
-    if group is not None:
-        agree = group.structure == cls.label and group.order == cls.order
-    return ClassificationReport(c, cls, gen, group, agree)
+    if not with_oracle:
+        return ClassificationReport(c, cls, gen, None, None)
+    group = _oracle.torsion_group(c)
+    return ClassificationReport(c, cls, gen, group, group.order == cls.order)
 
 
 def case_witnesses(c: CurveMND) -> dict[str, Witness | None]:

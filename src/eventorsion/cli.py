@@ -69,7 +69,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         print(f"structure: {group.structure} (order {group.order})", file=out)
         print(f"reduction bound: {_oracle.reduction_bound(c)}", file=out)
         print(f"elements: {', '.join(str(p) for p in group.elements)}", file=out)
-        print(f"generators: {', '.join(str(p) for p in group.generators)}", file=out)
+        print(f"generators: {group.generator}", file=out)
     return EXIT_OK
 
 

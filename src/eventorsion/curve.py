@@ -43,7 +43,8 @@ class PointNotOnCurveError(ValueError):
 
 @dataclass(frozen=True)
 class CurveMND:
-    """Normalized curve datum (m, n, D)."""
+    """Normalized curve datum (m, n, D).  n != 0 and a squarefree D not in
+    {0, 1} make n^2*D a nonsquare, so m^2 != n^2*D: the curve is nonsingular."""
 
     m: int
     n: int
@@ -58,9 +59,6 @@ class CurveMND:
             raise InvalidCurveError(
                 f"gcd(m, n) = gcd({self.m}, {self.n}) must be squarefree"
             )
-        # Automatic for squarefree D not in {0, 1}, asserted anyway.
-        if self.m * self.m == self.n * self.n * self.D:
-            raise InvalidCurveError("singular: m^2 = n^2 * D")
 
     @property
     def q(self) -> int:
@@ -350,16 +348,13 @@ def is_halvable(c: CurveMND, p: Point) -> bool:
     """True when p = 2*r for some r over K = Q(sqrt(D)).
 
     The cubic's roots are 0, -M, -N, so the point halves over K exactly when
-    x, x + M, and x + N are all squares in K.
+    x, x + M, and x + N are all squares in K; x + N is the conjugate of
+    x + M, so it is a square exactly when x + M is.
     """
     _require_on_curve(c, p)
     if p.is_infinity:
         raise ValueError("halving test expects an affine point")
-    shifts = (
-        QuadElement(p.x, 0, c.D),
-        QuadElement(p.x + c.m, c.n, c.D),
-        QuadElement(p.x + c.m, -c.n, c.D),
-    )
+    shifts = (QuadElement(p.x, 0, c.D), QuadElement(p.x + c.m, c.n, c.D))
     return all(is_square_quad(z) is not None for z in shifts)
 
 

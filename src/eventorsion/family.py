@@ -2,9 +2,9 @@
 
 Each sampler enumerates the case's parameters up to a bound, with a
 squarefree D != 1 enumerated or derived from them; `sample_case` keeps the
-tuples whose witness satisfies its class's side conditions (`holds`) and
-gives n != 0, and the witness class gives (m, n), the predicted class and
-generator x-coordinate.
+tuples whose witness satisfies its class's side conditions (`holds`, which
+also keep n nonzero: case III's a + c = 0 would need b^2*D = 0), and the
+witness gives (m, n), the predicted class and generator x-coordinate.
 Tuples normalizing to a previously emitted curve are deduplicated; output is
 sorted by (m, n, D) so the order is canonical.  `sweep_curves` enumerates
 every normalized curve of a box instead.
@@ -12,9 +12,10 @@ every normalized curve of a box instead.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterator
 
 from . import curve as _curve
@@ -46,7 +47,8 @@ class FamilySample:
     predicted_generator_x: int
 
 
-def _squarefree_ds(limit: int) -> list[int]:
+def _squarefree_ds(bound: int) -> list[int]:
+    limit = _D_RANGE_FACTOR * bound
     return [
         d
         for d in range(-limit, limit + 1)
@@ -57,24 +59,27 @@ def _squarefree_ds(limit: int) -> list[int]:
 _RawSample = tuple[Witness, int]  # witness, D
 
 
-def _iter_case_i(bound: int, d_limit: int) -> Iterator[_RawSample]:
-    ds = _squarefree_ds(d_limit)
-    # Sign flips of (a, b) only swap conjugates or negate n: same curve.
-    for a, b in itertools.product(range(1, bound + 1), repeat=2):
-        witness = WitnessI(a, b)
+def _iter_box(case: type[Witness], bound: int) -> Iterator[_RawSample]:
+    """Every witness of `case` with all parameters in 1..bound, with every D."""
+    # Case I: sign flips of (a, b) only swap conjugates or negate n: same
+    # curve.  Case IV: only u^2, v^2, w^2 enter the constraint and the curve,
+    # so positive representatives suffice.
+    ds = _squarefree_ds(bound)
+    for params in itertools.product(range(1, bound + 1), repeat=len(fields(case))):
+        witness = case(*params)
         for d in ds:
             yield witness, d
 
 
-def _iter_case_ii(bound: int, d_limit: int) -> Iterator[_RawSample]:
+def _iter_case_ii(bound: int) -> Iterator[_RawSample]:
     for u, v in itertools.product(range(1, bound + 1), repeat=2):
         w, d = intmath.squarefree_split(2 * u * u - v * v)
         if d != 1:
             yield WitnessII(u, v, w), d
 
 
-def _iter_case_iii(bound: int, d_limit: int) -> Iterator[_RawSample]:
-    ds = _squarefree_ds(d_limit)
+def _iter_case_iii(bound: int) -> Iterator[_RawSample]:
+    ds = _squarefree_ds(bound)
     # (a, c) -> (-a, -c) negates n only, so a stays positive.
     for a, b in itertools.product(range(1, bound + 1), repeat=2):
         for d in ds:
@@ -84,17 +89,7 @@ def _iter_case_iii(bound: int, d_limit: int) -> Iterator[_RawSample]:
                 yield WitnessIII(a, b, -r), d
 
 
-def _iter_case_iv(bound: int, d_limit: int) -> Iterator[_RawSample]:
-    ds = _squarefree_ds(d_limit)
-    # Only u^2, v^2, w^2 enter the constraint and the curve, so positive
-    # representatives suffice.
-    for u, v, w in itertools.product(range(1, bound + 1), repeat=3):
-        witness = WitnessIV(u, v, w)
-        for d in ds:
-            yield witness, d
-
-
-def _iter_case_v(bound: int, d_limit: int) -> Iterator[_RawSample]:
+def _iter_case_v(bound: int) -> Iterator[_RawSample]:
     for u in range(1, bound + 1):
         for v in range(-bound, bound + 1):
             if v == 0:
@@ -109,35 +104,26 @@ def _iter_case_v(bound: int, d_limit: int) -> Iterator[_RawSample]:
 
 
 _CASE_ITERATORS = {
-    "I": _iter_case_i,
+    "I": functools.partial(_iter_box, WitnessI),
     "II": _iter_case_ii,
     "III": _iter_case_iii,
-    "IV": _iter_case_iv,
+    "IV": functools.partial(_iter_box, WitnessIV),
     "V": _iter_case_v,
 }
 
 
-def sample_case(
-    case_tag: str, bound: int, d_limit: int | None = None
-) -> list[FamilySample]:
-    """Deterministically enumerate case samples with |params| <= bound.
-
-    d_limit caps |D| for the cases that enumerate D directly (default
-    2*bound); cases II and V derive D from the parameters instead.
-    """
+def sample_case(case_tag: str, bound: int) -> list[FamilySample]:
+    """Deterministically enumerate case samples with |params| <= bound;
+    cases I, III and IV also enumerate |D| <= 2*bound."""
     if case_tag not in CASES:
         raise ValueError(f"unknown case tag {case_tag!r}")
     if bound < 1:
         raise ValueError("bound must be at least 1")
-    if d_limit is None:
-        d_limit = _D_RANGE_FACTOR * bound
     out: dict[tuple[int, int, int], FamilySample] = {}
-    for witness, d in _CASE_ITERATORS[case_tag](bound, d_limit):
+    for witness, d in _CASE_ITERATORS[case_tag](bound):
         if not witness.holds(d):
             continue
         m, n = witness.curve_mn(d)
-        if n == 0:
-            continue
         cur = _curve.normalize(m, n, d)
         key = (cur.m, cur.n, cur.D)
         if key in out:
@@ -152,7 +138,7 @@ def sample_case(
                 f"case {case_tag} sample {witness}: generator x {gen_x} "
                 f"does not rescale by {e2}"
             )
-        out[key] = FamilySample(case_tag, witness, cur, TorsionClass(witness.order, witness), gx)
+        out[key] = FamilySample(case_tag, witness, cur, TorsionClass(witness), gx)
     return sorted(out.values(), key=lambda s: (s.curve.m, s.curve.n, s.curve.D))
 
 

@@ -80,8 +80,6 @@ def iroot(n: int, k: int) -> int:
     """Floor of the k-th root of n >= 0."""
     if n < 2:
         return n
-    if k == 2:
-        return math.isqrt(n)
     x = 1 << ((n.bit_length() + k - 1) // k)
     while True:
         y = ((k - 1) * x + n // x ** (k - 1)) // k

@@ -18,8 +18,8 @@ runs.  Otherwise the enumeration runs and stops once it has found g points,
 infinity included; when no listed prime is usable (g = 0), or with
 weak_bound=True, it runs in full.  Neither step uses anything from the
 classifier: the structural inputs are the integrality of torsion points,
-the injection theorem and Mazur's list of groups, which every returned
-group is checked against.
+the injection theorem and Mazur's list of cyclic orders, which every
+returned group is checked against.
 """
 
 from __future__ import annotations
@@ -33,10 +33,9 @@ from . import curve as _curve
 from . import intmath
 from .curve import INFINITY, CurveMND, Point
 
-# The fifteen groups that occur as rational torsion subgroups.
-MAZUR_STRUCTURES = frozenset(
-    [f"Z{k}" for k in (*range(1, 11), 12)] + [f"Z2xZ{2 * k}" for k in range(1, 5)]
-)
+# Mazur's cyclic rational torsion orders; his four Z2xZ2k groups need three
+# rational points of order 2, which no family member has.
+MAZUR_CYCLIC_ORDERS = (*range(1, 11), 12)
 
 # Residue filter used to discard y-candidates that cannot correspond to an
 # integer point; modular reduction is exact, so no true candidate is lost.
@@ -63,23 +62,20 @@ class OracleError(RuntimeError):
 
 @dataclass(frozen=True)
 class TorsionGroup:
-    """Fully enumerated torsion group: elements, structure label, generators.
-
-    Elements are sorted with infinity first, then by (x, y); the structure
-    label is 'Z{k}' or 'Z2xZ{k}'.
-    """
+    """Fully enumerated cyclic torsion group: its elements, sorted with
+    infinity first and then by (x, y), and the first of them that generates
+    the group."""
 
     elements: tuple[Point, ...]
-    structure: str
-    generators: tuple[Point, ...]
+    generator: Point
 
     @property
     def order(self) -> int:
         return len(self.elements)
 
     @property
-    def is_cyclic(self) -> bool:
-        return not self.structure.startswith("Z2x")
+    def structure(self) -> str:
+        return f"Z{self.order}"
 
 
 def discriminant(c: CurveMND) -> int:
@@ -183,13 +179,12 @@ def _assemble(c: CurveMND, found: dict[Point, int]) -> TorsionGroup:
         raise OracleError(f"{c}: {len(two_torsion)} points of order 2")
     elements = tuple([INFINITY] + sorted(found, key=lambda p: (p.x, p.y)))
     total = len(elements)
+    if total not in MAZUR_CYCLIC_ORDERS:
+        raise OracleError(f"{c}: impossible torsion structure Z{total}")
     # Elements are sorted, so the generator choice is canonical.
     gen = next((p for p in elements[1:] if found[p] == total), None)
     if gen is None:
         raise OracleError(f"{c}: no element of order {total} in cyclic group")
-    group = TorsionGroup(elements, f"Z{total}", (gen,))
-    if group.structure not in MAZUR_STRUCTURES:
-        raise OracleError(f"{c}: impossible torsion structure {group.structure}")
     # gen's multiples must be exactly the found points.
     span = set()
     acc = INFINITY
@@ -198,10 +193,10 @@ def _assemble(c: CurveMND, found: dict[Point, int]) -> TorsionGroup:
         span.add(acc)
     if span != set(elements):
         raise OracleError(f"{c}: enumerated points do not form a group")
-    return group
+    return TorsionGroup(elements, gen)
 
 
 def assert_family_shape(group: TorsionGroup) -> bool:
-    """True when the group is cyclic of even order 2..12, the only shapes a
-    family member can have (its cubic has exactly one rational root)."""
-    return group.is_cyclic and group.order in (2, 4, 6, 8, 10, 12)
+    """True when the group's order is even, 2..12: a family member's cubic
+    has exactly one rational root, so its torsion is cyclic of even order."""
+    return group.order in (2, 4, 6, 8, 10, 12)

@@ -186,14 +186,6 @@ class TestClassify:
         }
         assert all(case.tag == tag for tag, case in CASES.items())
 
-    def test_torsion_class_validation(self):
-        with pytest.raises(ValueError):
-            TorsionClass(3, None)
-        with pytest.raises(ValueError):
-            TorsionClass(2, WitnessI(1, 1))
-        with pytest.raises(ValueError):
-            TorsionClass(8, WitnessI(1, 1))
-
 
 class TestGenerator:
     @pytest.mark.parametrize(
@@ -271,7 +263,7 @@ class TestGenerator:
         assert x**4 - 4 * w.u**2 * x**3 - h * x * x - 4 * w.u**2 * e * x + e * e == 0
 
     def test_inconsistent_witness_raises(self):
-        bogus = TorsionClass(4, WitnessI(5, 7))
+        bogus = TorsionClass(WitnessI(5, 7))
         with pytest.raises(NonSquareYError):
             generator(C322, bogus)
 

@@ -3,7 +3,15 @@ import json
 
 import pytest
 
-from eventorsion.cli import EXIT_INVALID, EXIT_LIMIT, EXIT_MISMATCH, EXIT_OK, main
+from eventorsion import classifier, curve, oracle
+from eventorsion.cli import (
+    EXIT_INCONSISTENT,
+    EXIT_INVALID,
+    EXIT_LIMIT,
+    EXIT_MISMATCH,
+    EXIT_OK,
+    main,
+)
 from eventorsion.corpus import CorpusRecord
 from eventorsion.family import sweep_curves
 
@@ -185,6 +193,45 @@ class TestVerifyCommand:
     def test_verify_missing_file(self, capsys):
         code, _, _ = run(capsys, "verify", "/nonexistent/corpus.jsonl")
         assert code == EXIT_INVALID
+
+    def test_verify_skips_blank_lines_and_flags_unnormalized(self, tmp_path, capsys):
+        path = tmp_path / "corpus.jsonl"
+        run(capsys, "classify", "3", "2", "5", "--format", "records", "--out", str(path))
+        payload = json.loads(path.read_text())
+        payload.update({"m": "12", "n": "8"})  # normalizes to (3, 2, 5)
+        path.write_text("\n" + json.dumps(payload) + "\n\n")
+        code, _, err = run(capsys, "verify", str(path))
+        assert code == EXIT_MISMATCH
+        assert err == "line 2: curve not normalized\nverified=1 mismatches=1\n"
+
+
+class TestInconsistencyExit:
+    """Exit code 3: a cross-check inside the library failed."""
+
+    def test_z12_criterion_failing_exits_3(self, capsys, monkeypatch):
+        monkeypatch.setattr(classifier, "check_case_iv", lambda c: None)
+        code, out, err = run(capsys, "classify", "-366", "30", "-15")
+        assert code == EXIT_INCONSISTENT
+        assert out == ""
+        assert err.startswith("inconsistency:")
+        assert "Z12 criterion fails" in err
+
+    def test_generator_order_mismatch_exits_3(self, capsys, monkeypatch):
+        monkeypatch.setattr(curve, "order", lambda c, p: 3)
+        code, _, err = run(capsys, "classify", "3", "2", "2")
+        assert code == EXIT_INCONSISTENT
+        assert err.startswith("inconsistency:")
+        assert "has order 3, expected 4" in err
+
+    def test_oracle_error_exits_3(self, capsys, monkeypatch):
+        # C(3, 2, 2) has torsion Z4; with 4 struck from the list of
+        # possible orders, the oracle's own check must fail loudly.
+        monkeypatch.setattr(oracle, "MAZUR_CYCLIC_ORDERS", (2,))
+        code, out, err = run(capsys, "oracle", "3", "2", "2")
+        assert code == EXIT_INCONSISTENT
+        assert out == ""
+        assert err.startswith("inconsistency:")
+        assert "impossible torsion structure Z4" in err
 
 
 class TestRecordStream:

@@ -11,6 +11,7 @@ from eventorsion.intmath import (
     divisors,
     factorization,
     int_sqrt,
+    iroot,
     is_squarefree,
     rat_sqrt,
     signed_divisor_pairs,
@@ -58,6 +59,29 @@ class TestIntSqrt:
             assert f * f != x
         else:
             assert r * r == x
+
+
+class TestIroot:
+    """iroot sets Fujiwara's bound in cubic_integer_roots, so an off-by-one
+    there could hide a root."""
+
+    def test_cube_root_small(self):
+        assert iroot(0, 3) == 0
+        assert iroot(1, 3) == 1
+
+    @pytest.mark.parametrize("c", [2, 3, 10, 12345, 10**6 + 3, 2**40 + 1, 10**20])
+    def test_cube_root_at_perfect_cubes(self, c):
+        assert iroot(c**3 - 1, 3) == c - 1
+        assert iroot(c**3, 3) == c
+        assert iroot(c**3 + 1, 3) == c
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    def test_brute_force(self, k):
+        r = 0
+        for n in range(5000):
+            while (r + 1) ** k <= n:
+                r += 1
+            assert iroot(n, k) == r, (n, k)
 
 
 class TestSquarefreeSplit:
