@@ -14,19 +14,23 @@ with an explicit generator x-coordinate:
     case V    Z10 exactly:       m = 2s(s+u) - v^2,  n = 2st,
                                  (s+u)^2 - v^2 = t^2*D,  (u-v)^2*(u+v) = 4uvs
 
-Each case is one witness class carrying its tag, order, exact flag, (m, n),
-generator x and doubled x; `CASES` (tag -> class) is the only registry, and
-a TorsionClass holds only the witness that decided it (none for Z2).
+Each case is one witness class carrying its tag, order, exact flag, (m, n)
+and generator x; `CASES` (tag -> class) is the only registry, and a
+TorsionClass holds only the witness that decided it (none for Z2).
 
-Each class also owns its side conditions, `holds(d)`, and its candidate
-witnesses for a curve, `candidates(c)`, taken over the signed divisor pairs
-of n/2 (ascending |first parameter|, positive first; case II refines case
-I's witness).  One search serves all five checks, so the returned witness is
-reproducible.  Every condition forces n even, so odd n always lands in Z2.
+Each class owns both directions of its parametrization.  Backward, its
+candidate witnesses for a curve, `candidates(c)`, are taken over the signed
+divisor pairs of n/2 (ascending |first parameter|, positive first; case II
+refines case I's witness); one search serves all five checks, so the
+returned witness is reproducible.  Forward, `lattice(bound, ds)` yields the
+(witness, D) samples that `family.sample_case` filters by the side
+conditions, `holds(d)`.  Every condition forces n even, so odd n always
+lands in Z2.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, fields
 from typing import ClassVar, Iterator, Optional
@@ -34,7 +38,7 @@ from typing import ClassVar, Iterator, Optional
 from . import curve as _curve
 from . import oracle as _oracle
 from .curve import CurveMND, Point
-from .intmath import int_sqrt, signed_divisor_pairs
+from .intmath import int_sqrt, signed_divisor_pairs, squarefree_split
 
 
 class InconsistencyError(RuntimeError):
@@ -60,6 +64,17 @@ class Witness:
     def params(self) -> tuple[int, ...]:
         return tuple(getattr(self, f.name) for f in fields(self))
 
+    @classmethod
+    def lattice(cls, bound: int, ds: list[int]) -> Iterator[tuple[Witness, int]]:
+        """Every witness with all parameters in 1..bound, with every D in ds."""
+        # Case I: sign flips of (a, b) only swap conjugates or negate n: same
+        # curve.  Case IV: only u^2, v^2, w^2 enter the constraint and the curve,
+        # so positive representatives suffice.
+        for params in itertools.product(range(1, bound + 1), repeat=len(fields(cls))):
+            witness = cls(*params)
+            for d in ds:
+                yield witness, d
+
 
 @dataclass(frozen=True)
 class WitnessI(Witness, tag="I", order=4, exact=False):
@@ -82,9 +97,6 @@ class WitnessI(Witness, tag="I", order=4, exact=False):
     def generator_x(self, d: int) -> int:
         return self.a**2 - self.b**2 * d
 
-    def doubled_x(self, d: int) -> int:
-        return 0
-
 
 @dataclass(frozen=True)
 class WitnessII(Witness, tag="II", order=8):
@@ -105,6 +117,15 @@ class WitnessII(Witness, tag="II", order=8):
             if v and w1.b % v == 0:
                 yield cls(u, v, w1.b // v)
 
+    @classmethod
+    def lattice(cls, bound: int, ds: list[int]) -> Iterator[tuple[WitnessII, int]]:
+        """(u, v) in 1..bound with D and w from the squarefree split of
+        2u^2 - v^2 = w^2*D; ds is ignored."""
+        for u, v in itertools.product(range(1, bound + 1), repeat=2):
+            w, d = squarefree_split(2 * u * u - v * v)
+            if d != 1:
+                yield cls(u, v, w), d
+
     def holds(self, d: int) -> bool:
         u, v, w = self.u, self.v, self.w
         return u * v * w != 0 and 2 * u * u - v * v == w * w * d
@@ -117,9 +138,6 @@ class WitnessII(Witness, tag="II", order=8):
 
     def generator_x(self, d: int) -> int:
         return (self.u + self.v) * (self.v - self.u) ** 3
-
-    def doubled_x(self, d: int) -> int:
-        return (self.u**2 - self.v**2) ** 2
 
 
 @dataclass(frozen=True)
@@ -138,6 +156,17 @@ class WitnessIII(Witness, tag="III", order=6, exact=False):
             if not rem and a * (2 * k - a) + b2d == c.m:
                 yield cls(a, b, k - a)
 
+    @classmethod
+    def lattice(cls, bound: int, ds: list[int]) -> Iterator[tuple[WitnessIII, int]]:
+        """(a, b) in 1..bound and D in ds with c = +-sqrt(a^2 - b^2*D)."""
+        # (a, c) -> (-a, -c) negates n only, so a stays positive.
+        for a, b in itertools.product(range(1, bound + 1), repeat=2):
+            for d in ds:
+                r = int_sqrt(a * a - b * b * d)
+                if r:
+                    yield cls(a, b, r), d
+                    yield cls(a, b, -r), d
+
     def holds(self, d: int) -> bool:
         a, b, c = self.a, self.b, self.c
         return a * b * c != 0 and a * a - b * b * d == c * c and math.gcd(a, b, c) == 1
@@ -150,9 +179,6 @@ class WitnessIII(Witness, tag="III", order=6, exact=False):
 
     def generator_x(self, d: int) -> int:
         return 5 * self.c**2 + 4 * self.a * self.c
-
-    def doubled_x(self, d: int) -> int:
-        return self.c**2
 
 
 @dataclass(frozen=True)
@@ -184,9 +210,6 @@ class WitnessIV(Witness, tag="IV", order=12):
     def generator_x(self, d: int) -> int:
         return (self.u + self.v) ** 2 - self.w**2 * d
 
-    def doubled_x(self, d: int) -> int:
-        return self.u**2
-
 
 @dataclass(frozen=True)
 class WitnessV(Witness, tag="V", order=10):
@@ -210,6 +233,23 @@ class WitnessV(Witness, tag="V", order=10):
                     yield cls(s, t, u, v0)
                     yield cls(s, t, u, -v0)
 
+    @classmethod
+    def lattice(cls, bound: int, ds: list[int]) -> Iterator[tuple[WitnessV, int]]:
+        """u in 1..bound and nonzero v in -bound..bound with s from
+        (u-v)^2*(u+v) = 4uvs, then D and t from the squarefree split of
+        (s+u)^2 - v^2 = t^2*D; ds is ignored."""
+        for u in range(1, bound + 1):
+            for v in range(-bound, bound + 1):
+                if v == 0:
+                    continue
+                # u = +-v gives s = 0, where t^2*D = 0 fixes no D.
+                s, rem = divmod((u - v) ** 2 * (u + v), 4 * u * v)
+                if rem or s == 0:
+                    continue
+                t, d = squarefree_split((s + u) ** 2 - v * v)
+                if d != 1:
+                    yield cls(s, t, u, v), d
+
     def holds(self, d: int) -> bool:
         s, t, u, v = self.s, self.t, self.u, self.v
         return (
@@ -223,13 +263,6 @@ class WitnessV(Witness, tag="V", order=10):
 
     def generator_x(self, d: int) -> int:
         return 2 * self.v**2 + 4 * self.v * self.s - self.u**2
-
-    def doubled_x(self, d: int) -> int:
-        """v^2, not u^2: the generator P is P0 + P5 where x(P5) = u^2, so
-        2P = 2*P5, and an order-5 point never doubles back onto its own
-        x-coordinate.  u^2 is instead x(2*(3P)), the double of the other
-        generator 3P.  The acceptance suite's criterion 4 checks both."""
-        return self.v**2
 
 
 # The case table, in the paper's order: tag -> witness class.
@@ -328,19 +361,14 @@ def classify(c: CurveMND) -> TorsionClass:
     return TorsionClass(None)
 
 
-def generator_x(c: CurveMND, cls: TorsionClass) -> int:
-    """Generator x-coordinate from the class witness; Z2's generator is (0, 0)."""
-    return 0 if cls.witness is None else cls.witness.generator_x(c.D)
-
-
 def generator(c: CurveMND, cls: TorsionClass) -> Point:
     """Explicit generator point for the class, with canonical y > 0.
 
-    The x-coordinate comes from the witness; y is the exact integer square
-    root of the curve's right-hand side, whose failure would mean the
-    witness and class are inconsistent.
+    The x-coordinate comes from the witness (Z2's generator is (0, 0)); y is
+    the exact integer square root of the curve's right-hand side, whose
+    failure would mean the witness and class are inconsistent.
     """
-    x = generator_x(c, cls)
+    x = 0 if cls.witness is None else cls.witness.generator_x(c.D)
     y2 = c.rhs(x)
     y = int_sqrt(y2)
     if y is None:

@@ -1,11 +1,13 @@
 """Command-line front end: classify, oracle, sweep, sample, verify.
 
-Exit codes: 0 success, 1 verification mismatches, 2 invalid input,
+Exit codes: 0 success, 1 mismatches (verify records that no longer match,
+oracle disagreements, sample prediction mismatches), 2 invalid input,
 3 internal consistency failure, 4 factoring limit: a number the run must
 factor (D, gcd(m, n) and n/2; with the oracle also q = m^2 - n^2*D) has a
 prime factor at or above 3.3*10^24, beyond the proven Miller-Rabin range,
 or a composite part with no prime factor below ~10^15 for Pollard rho to
-find within its step budget.
+find within its step budget.  Integers of any length are read and printed
+in full.
 """
 
 from __future__ import annotations
@@ -58,7 +60,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
             print(CorpusRecord.from_report(report).to_line(), file=out)
         else:
             _render_text(report, out)
-    return EXIT_OK
+    return EXIT_MISMATCH if report.agree is False else EXIT_OK
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
@@ -106,7 +108,7 @@ def _emit_records(reports, args, check_predicted=None) -> int:
     if check_predicted is not None:
         parts.append(f"prediction_mismatches={mismatches}")
     print(" ".join(parts), file=sys.stderr)
-    return EXIT_OK
+    return EXIT_MISMATCH if disagreements or mismatches else EXIT_OK
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -221,6 +223,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:

@@ -96,7 +96,7 @@ class CorpusRecord:
             "oracle_order": None if self.oracle_order is None else str(self.oracle_order),
             "agree": self.agree,
         }
-        return json.dumps(payload, separators=(", ", ": "))
+        return json.dumps(payload)
 
     @classmethod
     def from_line(cls, line: str) -> "CorpusRecord":

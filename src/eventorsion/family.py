@@ -1,10 +1,11 @@
 """Forward direction: sample witness tuples per case and emit labeled curves.
 
-Each sampler enumerates the case's parameters up to a bound, with a
-squarefree D != 1 enumerated or derived from them; `sample_case` keeps the
-tuples whose witness satisfies its class's side conditions (`holds`, which
-also keep n nonzero: case III's a + c = 0 would need b^2*D = 0), and the
-witness gives (m, n), the predicted class and generator x-coordinate.
+`sample_case` walks one witness class's `lattice` (its parameters up to a
+bound, with a squarefree D != 1 enumerated or derived from them; each
+case's D derivation is in its `lattice` docstring) and keeps the tuples
+whose witness satisfies the class's side conditions (`holds`, which also
+keep n nonzero: case III's a + c = 0 would need b^2*D = 0); the witness
+gives (m, n), the predicted class and generator x-coordinate.
 Tuples normalizing to a previously emitted curve are deduplicated; output is
 sorted by (m, n, D) so the order is canonical.  `sweep_curves` enumerates
 every normalized curve of a box instead.
@@ -12,24 +13,13 @@ every normalized curve of a box instead.
 
 from __future__ import annotations
 
-import functools
-import itertools
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Iterator
 
 from . import curve as _curve
 from . import intmath
-from .classifier import (
-    CASES,
-    TorsionClass,
-    Witness,
-    WitnessI,
-    WitnessII,
-    WitnessIII,
-    WitnessIV,
-    WitnessV,
-)
+from .classifier import CASES, TorsionClass, Witness
 from .curve import CurveMND
 
 # Cases I, III, IV enumerate D directly; II and V derive D from a squarefree
@@ -56,71 +46,16 @@ def _squarefree_ds(bound: int) -> list[int]:
     ]
 
 
-_RawSample = tuple[Witness, int]  # witness, D
-
-
-def _iter_box(case: type[Witness], bound: int) -> Iterator[_RawSample]:
-    """Every witness of `case` with all parameters in 1..bound, with every D."""
-    # Case I: sign flips of (a, b) only swap conjugates or negate n: same
-    # curve.  Case IV: only u^2, v^2, w^2 enter the constraint and the curve,
-    # so positive representatives suffice.
-    ds = _squarefree_ds(bound)
-    for params in itertools.product(range(1, bound + 1), repeat=len(fields(case))):
-        witness = case(*params)
-        for d in ds:
-            yield witness, d
-
-
-def _iter_case_ii(bound: int) -> Iterator[_RawSample]:
-    for u, v in itertools.product(range(1, bound + 1), repeat=2):
-        w, d = intmath.squarefree_split(2 * u * u - v * v)
-        if d != 1:
-            yield WitnessII(u, v, w), d
-
-
-def _iter_case_iii(bound: int) -> Iterator[_RawSample]:
-    ds = _squarefree_ds(bound)
-    # (a, c) -> (-a, -c) negates n only, so a stays positive.
-    for a, b in itertools.product(range(1, bound + 1), repeat=2):
-        for d in ds:
-            r = intmath.int_sqrt(a * a - b * b * d)
-            if r:
-                yield WitnessIII(a, b, r), d
-                yield WitnessIII(a, b, -r), d
-
-
-def _iter_case_v(bound: int) -> Iterator[_RawSample]:
-    for u in range(1, bound + 1):
-        for v in range(-bound, bound + 1):
-            if v == 0:
-                continue
-            # u = +-v gives s = 0, where t^2*D = 0 fixes no D.
-            s, rem = divmod((u - v) ** 2 * (u + v), 4 * u * v)
-            if rem or s == 0:
-                continue
-            t, d = intmath.squarefree_split((s + u) ** 2 - v * v)
-            if d != 1:
-                yield WitnessV(s, t, u, v), d
-
-
-_CASE_ITERATORS = {
-    "I": functools.partial(_iter_box, WitnessI),
-    "II": _iter_case_ii,
-    "III": _iter_case_iii,
-    "IV": functools.partial(_iter_box, WitnessIV),
-    "V": _iter_case_v,
-}
-
-
 def sample_case(case_tag: str, bound: int) -> list[FamilySample]:
     """Deterministically enumerate case samples with |params| <= bound;
     cases I, III and IV also enumerate |D| <= 2*bound."""
-    if case_tag not in CASES:
+    case = CASES.get(case_tag)
+    if case is None:
         raise ValueError(f"unknown case tag {case_tag!r}")
     if bound < 1:
         raise ValueError("bound must be at least 1")
     out: dict[tuple[int, int, int], FamilySample] = {}
-    for witness, d in _CASE_ITERATORS[case_tag](bound):
+    for witness, d in case.lattice(bound, _squarefree_ds(bound)):
         if not witness.holds(d):
             continue
         m, n = witness.curve_mn(d)

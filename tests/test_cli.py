@@ -62,6 +62,20 @@ class TestClassifyCommand:
         rec = CorpusRecord.from_line(out.strip())
         assert rec.cls == "Z8" and rec.agree is True
 
+    def test_huge_integers_print_in_full(self, tmp_path, capsys):
+        # q = m^2 - 8 has about 5000 digits, past Python's default limit of
+        # 4300 for converting an integer to a string.
+        m = 10**2500 + 7
+        code, out, _ = run(capsys, "classify", str(m), "2", "2")
+        assert code == EXIT_OK
+        first = out.splitlines()[0]
+        assert first == f"curve (m={m}, n=2, D=2): y^2 = x^3 + {2 * m}*x^2 + {m * m - 8}*x"
+        path = tmp_path / "huge.jsonl"
+        run(capsys, "classify", str(m), "2", "2", "--format", "records", "--out", str(path))
+        code, _, err = run(capsys, "verify", str(path))
+        assert code == EXIT_OK
+        assert err == "verified=1 mismatches=0\n"
+
 
 class TestOracleCommand:
     def test_oracle_output(self, capsys):
@@ -135,6 +149,20 @@ class TestSweepCommand:
         lines = path.read_text().splitlines()
         assert lines and all(CorpusRecord.from_line(line) for line in lines)
 
+    def test_text_format(self, capsys):
+        code, out, err = run(capsys, "sweep", "3", "2", "3", "--format", "text")
+        assert code == EXIT_OK
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "ffac5262b62512a6872571a0f9b320350556a6ac26b4ea05eb3deaacceed1142"
+        )
+        assert [line for line in out.splitlines() if "class=Z2" not in line] == [
+            "m=-2 n=2 D=-3 class=Z4 generator=(4,8) oracle=Z4 agree=yes",
+            "m=-1 n=2 D=-2 class=Z4 generator=(3,6) oracle=Z4 agree=yes",
+            "m=3 n=2 D=2 class=Z4 generator=(-1,2) oracle=Z4 agree=yes",
+            "m=3 n=2 D=3 class=Z6 generator=(-3,6) oracle=Z6 agree=yes",
+        ]
+        assert err == "curves=56 Z2=52 Z4=3 Z6=1 disagreements=0\n"
+
 
 class TestSampleCommand:
     def test_sample_i(self, capsys):
@@ -158,6 +186,15 @@ class TestSampleCommand:
     def test_unknown_case_rejected(self, capsys):
         with pytest.raises(SystemExit):
             main(["sample", "X", "3"])
+
+    def test_text_format(self, capsys):
+        code, out, err = run(capsys, "sample", "II", "2", "--oracle", "--format", "text")
+        assert code == EXIT_OK
+        assert out == (
+            "m=-7 n=4 D=-2 class=Z8 generator=(3,12) oracle=Z8 agree=yes\n"
+            "m=23 n=8 D=7 class=Z8 generator=(-3,12) oracle=Z8 agree=yes\n"
+        )
+        assert err == "curves=2 Z8=2 disagreements=0 prediction_mismatches=0\n"
 
 
 class TestVerifyCommand:
@@ -232,6 +269,35 @@ class TestInconsistencyExit:
         assert out == ""
         assert err.startswith("inconsistency:")
         assert "impossible torsion structure Z4" in err
+
+
+class TestMismatchExit:
+    """Exit code 1: the run finished, but a cross-check it reports failed.
+    Output stays as it was; only the exit code tells."""
+
+    @pytest.fixture
+    def z2_oracle(self, monkeypatch):
+        group = oracle.TorsionGroup((curve.INFINITY, curve.Point(0, 0)), curve.Point(0, 0))
+        monkeypatch.setattr(classifier._oracle, "torsion_group", lambda c: group)
+
+    def test_classify_disagreement_exits_1(self, capsys, z2_oracle):
+        code, out, err = run(capsys, "classify", "3", "2", "2", "--oracle")
+        assert code == EXIT_MISMATCH
+        assert out.endswith("oracle: Z2 (order 2)\nagree: NO\n")
+        assert err == ""
+
+    def test_sweep_disagreements_exit_1(self, capsys, z2_oracle):
+        code, out, err = run(capsys, "sweep", "3", "2", "2")
+        assert code == EXIT_MISMATCH
+        assert len(out.splitlines()) == 28
+        assert err == "curves=28 Z2=26 Z4=2 disagreements=2\n"
+
+    def test_sample_prediction_mismatches_exit_1(self, capsys, monkeypatch):
+        monkeypatch.setattr(classifier, "classify", lambda c: classifier.TorsionClass(None))
+        code, out, err = run(capsys, "sample", "I", "1")
+        assert code == EXIT_MISMATCH
+        assert len(out.splitlines()) == 3
+        assert err == "curves=3 Z2=3 disagreements=0 prediction_mismatches=3\n"
 
 
 class TestRecordStream:
