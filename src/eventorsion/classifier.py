@@ -22,7 +22,7 @@ Each class owns both directions of its parametrization.  Backward, its
 candidate witnesses for a curve, `candidates(c)`, are taken over the signed
 divisor pairs of n/2 (ascending |first parameter|, positive first; case II
 refines case I's witness); one search serves all five checks, so the
-returned witness is reproducible.  Forward, `lattice(bound, ds)` yields the
+returned witness is reproducible.  Forward, `lattice(bound)` yields the
 (witness, D) samples that `family.sample_case` filters by the side
 conditions, `holds(d)`.  Every condition forces n even, so odd n always
 lands in Z2.
@@ -38,7 +38,12 @@ from typing import ClassVar, Iterator, Optional
 from . import curve as _curve
 from . import oracle as _oracle
 from .curve import CurveMND, Point
-from .intmath import int_sqrt, signed_divisor_pairs, squarefree_split
+from .intmath import int_sqrt, is_squarefree, signed_divisor_pairs, squarefree_split
+
+# Cases I, III and IV enumerate D directly; II and V derive D from a
+# squarefree split.  The direct range 2*bound keeps small bounds productive
+# (bound 1 already reaches D = 2).
+_D_RANGE_FACTOR = 2
 
 
 class InconsistencyError(RuntimeError):
@@ -48,6 +53,11 @@ class InconsistencyError(RuntimeError):
 
 class NonSquareYError(InconsistencyError):
     """A generator x-coordinate produced a non-square y^2 on the curve."""
+
+
+def _squarefree_ds(bound: int) -> list[int]:
+    limit = _D_RANGE_FACTOR * bound
+    return [d for d in range(-limit, limit + 1) if d not in (0, 1) and is_squarefree(d)]
 
 
 class Witness:
@@ -65,8 +75,10 @@ class Witness:
         return tuple(getattr(self, f.name) for f in fields(self))
 
     @classmethod
-    def lattice(cls, bound: int, ds: list[int]) -> Iterator[tuple[Witness, int]]:
-        """Every witness with all parameters in 1..bound, with every D in ds."""
+    def lattice(cls, bound: int) -> Iterator[tuple[Witness, int]]:
+        """Every witness with all parameters in 1..bound, with every
+        squarefree D != 1 in |D| <= 2*bound."""
+        ds = _squarefree_ds(bound)
         # Case I: sign flips of (a, b) only swap conjugates or negate n: same
         # curve.  Case IV: only u^2, v^2, w^2 enter the constraint and the curve,
         # so positive representatives suffice.
@@ -118,9 +130,9 @@ class WitnessII(Witness, tag="II", order=8):
                 yield cls(u, v, w1.b // v)
 
     @classmethod
-    def lattice(cls, bound: int, ds: list[int]) -> Iterator[tuple[WitnessII, int]]:
+    def lattice(cls, bound: int) -> Iterator[tuple[WitnessII, int]]:
         """(u, v) in 1..bound with D and w from the squarefree split of
-        2u^2 - v^2 = w^2*D; ds is ignored."""
+        2u^2 - v^2 = w^2*D."""
         for u, v in itertools.product(range(1, bound + 1), repeat=2):
             w, d = squarefree_split(2 * u * u - v * v)
             if d != 1:
@@ -157,9 +169,11 @@ class WitnessIII(Witness, tag="III", order=6, exact=False):
                 yield cls(a, b, k - a)
 
     @classmethod
-    def lattice(cls, bound: int, ds: list[int]) -> Iterator[tuple[WitnessIII, int]]:
-        """(a, b) in 1..bound and D in ds with c = +-sqrt(a^2 - b^2*D)."""
+    def lattice(cls, bound: int) -> Iterator[tuple[WitnessIII, int]]:
+        """(a, b) in 1..bound and squarefree D != 1 in |D| <= 2*bound with
+        c = +-sqrt(a^2 - b^2*D)."""
         # (a, c) -> (-a, -c) negates n only, so a stays positive.
+        ds = _squarefree_ds(bound)
         for a, b in itertools.product(range(1, bound + 1), repeat=2):
             for d in ds:
                 r = int_sqrt(a * a - b * b * d)
@@ -234,10 +248,10 @@ class WitnessV(Witness, tag="V", order=10):
                     yield cls(s, t, u, -v0)
 
     @classmethod
-    def lattice(cls, bound: int, ds: list[int]) -> Iterator[tuple[WitnessV, int]]:
+    def lattice(cls, bound: int) -> Iterator[tuple[WitnessV, int]]:
         """u in 1..bound and nonzero v in -bound..bound with s from
         (u-v)^2*(u+v) = 4uvs, then D and t from the squarefree split of
-        (s+u)^2 - v^2 = t^2*D; ds is ignored."""
+        (s+u)^2 - v^2 = t^2*D."""
         for u in range(1, bound + 1):
             for v in range(-bound, bound + 1):
                 if v == 0:
@@ -380,7 +394,7 @@ def generator(c: CurveMND, cls: TorsionClass) -> Point:
 
 def full_report(c: CurveMND, with_oracle: bool = False) -> ClassificationReport:
     """Classify, build the generator, and optionally cross-check against the
-    brute-force group oracle."""
+    independent group oracle."""
     cls = classify(c)
     gen = generator(c, cls)
     k = _curve.order(c, gen)

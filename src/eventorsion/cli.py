@@ -3,11 +3,10 @@
 Exit codes: 0 success, 1 mismatches (verify records that no longer match,
 oracle disagreements, sample prediction mismatches), 2 invalid input,
 3 internal consistency failure, 4 factoring limit: a number the run must
-factor (D, gcd(m, n) and n/2; with the oracle also q = m^2 - n^2*D) has a
-prime factor at or above 3.3*10^24, beyond the proven Miller-Rabin range,
-or a composite part with no prime factor below ~10^15 for Pollard rho to
-find within its step budget.  Integers of any length are read and printed
-in full.
+factor (D, gcd(m, n) and n/2) has a prime factor at or above 3.3*10^24,
+beyond the proven Miller-Rabin range, or a composite part with no prime
+factor below ~10^15 for Pollard rho to find within its step budget.
+Integers of any length are read and printed in full.
 """
 
 from __future__ import annotations
@@ -174,7 +173,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description=(
             "Classify the rational torsion subgroup of y^2 = x(x+M)(x+N), "
             "M,N = m +- n*sqrt(D), by explicit Diophantine criteria, with an "
-            "independent brute-force oracle."
+            "independent Nagell-Lutz oracle."
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)

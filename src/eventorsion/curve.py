@@ -358,8 +358,17 @@ def is_halvable(c: CurveMND, p: Point) -> bool:
     return all(is_square_quad(z) is not None for z in shifts)
 
 
-def three_torsion_quartic(c: CurveMND, x: Fraction | int) -> Fraction | int:
-    """Evaluate 3x^4 + 8m*x^3 + 6q*x^2 - q^2, which vanishes exactly at the
-    x-coordinates of points of order 3 (using M + N = 2m, M*N = q)."""
+def three_torsion_coeffs(c: CurveMND) -> list[int]:
+    """psi_3 = 3x^4 + 8m*x^3 + 6q*x^2 - q^2, leading coefficient first: it
+    vanishes exactly at the x-coordinates of points of order 3 (using
+    M + N = 2m, M*N = q)."""
     q = c.q
-    return 3 * x**4 + 8 * c.m * x**3 + 6 * q * x * x - q * q
+    return [3, 8 * c.m, 6 * q, 0, -q * q]
+
+
+def three_torsion_quartic(c: CurveMND, x: Fraction | int) -> Fraction | int:
+    """Evaluate psi_3 (`three_torsion_coeffs`) at x."""
+    value = 0
+    for a in three_torsion_coeffs(c):
+        value = value * x + a
+    return value

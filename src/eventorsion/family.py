@@ -22,11 +22,6 @@ from . import intmath
 from .classifier import CASES, TorsionClass, Witness
 from .curve import CurveMND
 
-# Cases I, III, IV enumerate D directly; II and V derive D from a squarefree
-# split.  The direct range 2*bound keeps small bounds productive (bound 1
-# already reaches D = 2).
-_D_RANGE_FACTOR = 2
-
 
 @dataclass(frozen=True)
 class FamilySample:
@@ -35,15 +30,6 @@ class FamilySample:
     curve: CurveMND
     predicted: TorsionClass
     predicted_generator_x: int
-
-
-def _squarefree_ds(bound: int) -> list[int]:
-    limit = _D_RANGE_FACTOR * bound
-    return [
-        d
-        for d in range(-limit, limit + 1)
-        if d not in (0, 1) and intmath.is_squarefree(d)
-    ]
 
 
 def sample_case(case_tag: str, bound: int) -> list[FamilySample]:
@@ -55,7 +41,7 @@ def sample_case(case_tag: str, bound: int) -> list[FamilySample]:
     if bound < 1:
         raise ValueError("bound must be at least 1")
     out: dict[tuple[int, int, int], FamilySample] = {}
-    for witness, d in case.lattice(bound, _squarefree_ds(bound)):
+    for witness, d in case.lattice(bound):
         if not witness.holds(d):
             continue
         m, n = witness.curve_mn(d)

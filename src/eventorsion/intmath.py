@@ -1,8 +1,14 @@
-"""Exact integer primitives: perfect squares, integer roots of cubics,
-factorization, squarefree splitting, divisors.
+"""Exact integer primitives: perfect squares, integer roots of cubics and of
+squarefree polynomials of any degree, factorization, squarefree splitting,
+divisors.
 
 Everything runs on Python's arbitrary-precision integers (and Fraction for
 the one rational helper); no floating point is used anywhere in the package.
+
+`integer_roots` solves a squarefree polynomial of any degree p-adically
+(Hensel lifting from a prime at which every root is simple) and factors
+nothing; `cubic_integer_roots` bisects a cubic's monotone pieces, so it also
+finds double and triple roots.
 
 Factoring divides out the primes below 1000, proves larger cofactors prime
 with deterministic Miller-Rabin and splits composite ones with Brent's
@@ -16,9 +22,10 @@ budget, which happens when its smallest prime factor is beyond ~10^15.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterator, NamedTuple
+from typing import Iterator, NamedTuple, Sequence
 
 
 class FactoringLimitError(ArithmeticError):
@@ -128,6 +135,83 @@ def cubic_integer_roots(b: int, c: int, d: int) -> list[int]:
                 roots.append(lo)
         sign = -sign
     return roots
+
+
+def _primes() -> Iterator[int]:
+    """Every prime in ascending order, from a sieve doubled on demand."""
+    yield from _SMALL_PRIMES
+    limit = _SMALL_PRIMES[-1]
+    while True:
+        primes = _sieve(2 * limit)
+        yield from primes[bisect_right(primes, limit) :]
+        limit *= 2
+
+
+def _horner(f: Sequence[int], x: int, mod: int) -> int:
+    v = 0
+    for a in f:
+        v = (v * x + a) % mod
+    return v
+
+
+def integer_roots(coeffs: Sequence[int]) -> list[int]:
+    """Ascending distinct integer roots of the squarefree polynomial
+    coeffs[0]*x^d + coeffs[1]*x^(d-1) + ... + coeffs[d].
+
+    The factor x^k is stripped (0 is a root when k > 0).  The rest is solved
+    p-adically: the first prime p that does not divide the leading
+    coefficient and at which every root mod p is simple; each root mod p is
+    Newton-lifted until p^k exceeds twice the Cauchy bound on |root|, and
+    the symmetric residue is kept when it is an exact root.  A prime fails
+    only if it divides lead*disc(f), which by Mahler's bound
+    |disc(f)| <= d^d * |f|_2^(2d-2) has fewer than the bit length of
+    lead * d^d * |f|_2^(2d-2) prime factors; past that many failures f is
+    not squarefree and ValueError is raised.
+    """
+    f = list(coeffs)
+    while f and f[0] == 0:
+        del f[0]
+    if not f:
+        raise ValueError("the zero polynomial vanishes at every integer")
+    roots = []
+    if f[-1] == 0:
+        roots.append(0)
+        while f[-1] == 0:
+            f.pop()
+    d = len(f) - 1
+    if d == 0:
+        return roots
+    lead = f[0]
+    bound = 1 + max(abs(a) for a in f[1:]) // abs(lead)
+    deriv = [a * (d - i) for i, a in enumerate(f[:-1])]
+    max_failures = (abs(lead) * d**d * sum(a * a for a in f) ** (d - 1)).bit_length()
+    failures = 0
+    for p in _primes():
+        residues = []
+        if lead % p:
+            fp = [a % p for a in f]
+            for r in range(p):
+                if _horner(fp, r, p) == 0:
+                    if _horner(deriv, r, p) == 0:
+                        break
+                    residues.append(r)
+            else:
+                break
+        failures += 1
+        if failures > max_failures:
+            raise ValueError(f"{list(coeffs)} is not squarefree")
+    for r in residues:
+        mod = p
+        while mod <= 2 * bound:
+            mod *= mod
+            r = (r - _horner(f, r, mod) * pow(_horner(deriv, r, mod), -1, mod)) % mod
+        root = r if 2 * r <= mod else r - mod
+        value = 0
+        for a in f:
+            value = value * root + a
+        if value == 0:
+            roots.append(root)
+    return sorted(roots)
 
 
 def _is_prime(n: int) -> bool:

@@ -1,33 +1,37 @@
-"""Independent ground truth: full torsion enumeration by bounded search.
+"""Independent ground truth: the full torsion group from torsion conditions.
 
 Every rational torsion point on the integral model y^2 = x^3 + 2m*x^2 + q*x
-has integer coordinates with y = 0 or y^2 dividing the discriminant, so the
-whole group is found by running over those finitely many y, solving
-x^3 + 2m*x^2 + q*x = y^2 exactly for its integer roots x, and keeping the
-points of finite order, all with int coordinates.  (0, 0) is a family
-member's only point of order 2, so the group is cyclic: it is assembled as
-the multiples of its first sorted point of order #T.
+has integer coordinates (Nagell-Lutz), so its x is an integer root of the
+condition its order imposes, and y = sqrt(rhs(x)) is an integer.  The points
+of order 2 are the integer roots of the cubic; (0, 0) is a family member's
+only one, so the group is cyclic and, by Mazur, of order 2, 4, 6, 8, 10 or
+12.  Its points of order 4 have x(2P) = 0, that is x = +-sqrt(q); those of
+order 8 halve one of order 4, at the integer roots of a quartic; those of
+order 3 and 5 lie at the integer roots of the division polynomials psi_3
+and psi_5 (Silverman, AEC Exercise 3.7).  All roots come from
+`intmath.integer_roots`, and nothing is factored.  A root is kept when
+rhs(x) is a square and the point has finite order.  The largest 2-power
+point plus an odd-order point generates the group; its multiples and every
+point found are checked to form exactly one cyclic group of Mazur's list.
 
-Before enumerating, the oracle bounds the group's order by reduction: at an
+Before solving, the oracle bounds the group's order by reduction: at an
 odd prime p of good reduction, rational torsion injects into E(F_p)
 (Silverman, AEC VII.3.1 with VII.3.4), so #T divides the gcd g of #E(F_p)
 over the first six odd primes up to 47 that do not divide the discriminant.
 When g equals the number of points of order dividing 2 (for a family
-member, when g = 2), those points are the whole group and no enumeration
-runs.  Otherwise the enumeration runs and stops once it has found g points,
-infinity included; when no listed prime is usable (g = 0), or with
-weak_bound=True, it runs in full.  Neither step uses anything from the
-classifier: the structural inputs are the integrality of torsion points,
-the injection theorem and Mazur's list of cyclic orders, which every
-returned group is checked against.
+member, when g = 2), those points are the whole group and nothing is
+solved.  Otherwise a condition of order k is solved only when k divides g;
+when no listed prime is usable (g = 0), or with weak_bound=True, every
+condition is solved.  Nothing here uses the classifier: the structural
+inputs are the integrality of torsion points, the group law, the injection
+theorem and Mazur's list of cyclic orders.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterable
 
 from . import curve as _curve
 from . import intmath
@@ -36,10 +40,6 @@ from .curve import INFINITY, CurveMND, Point
 # Mazur's cyclic rational torsion orders; his four Z2xZ2k groups need three
 # rational points of order 2, which no family member has.
 MAZUR_CYCLIC_ORDERS = (*range(1, 11), 12)
-
-# Residue filter used to discard y-candidates that cannot correspond to an
-# integer point; modular reduction is exact, so no true candidate is lost.
-_FILTER_MODULI = (16, 9, 5, 7, 11, 13)
 
 # Odd primes tried for the reduction bound, in order; the bound uses the
 # first _REDUCTION_PRIME_COUNT of them that do not divide the discriminant.
@@ -57,12 +57,12 @@ _CHARACTERS = {p: _quadratic_character(p) for p in _REDUCTION_PRIMES}
 
 
 class OracleError(RuntimeError):
-    """The enumerated point set does not form one of the possible groups."""
+    """The points found do not form one of the possible groups."""
 
 
 @dataclass(frozen=True)
 class TorsionGroup:
-    """Fully enumerated cyclic torsion group: its elements, sorted with
+    """The full cyclic torsion group: its elements, sorted with
     infinity first and then by (x, y), and the first of them that generates
     the group."""
 
@@ -109,39 +109,63 @@ def reduction_bound(c: CurveMND) -> int:
     return g
 
 
-def _delta_factorization(c: CurveMND) -> list[tuple[int, int]]:
-    fac: dict[int, int] = {2: 6}
-    for base, mult in ((c.n, 2), (c.q, 2), (c.D, 1)):
-        for p, e in intmath.factorization(base):
-            fac[p] = fac.get(p, 0) + mult * e
-    return sorted(fac.items())
+def _poly_mul(f: list[int], g: list[int]) -> list[int]:
+    out = [0] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            out[i + j] += a * b
+    return out
 
 
-def _candidate_ys(items: list[tuple[int, int]], weak_bound: bool) -> Iterator[int]:
-    """All y > 0 with y^2 | delta (y | delta when relaxed), one at a time."""
-    powers = [
-        [p**k for k in range((e if weak_bound else e // 2) + 1)] for p, e in items
-    ]
-    return map(math.prod, itertools.product(*powers))
+def five_division_coeffs(c: CurveMND) -> list[int]:
+    """psi_5 = R^2*f_4 - psi_3^3, leading coefficient first, with
+    R = psi_2^2 = 4*rhs(x), f_4 = psi_4/psi_2 and psi_3 from
+    `curve.three_torsion_coeffs`: its roots are the x-coordinates of the
+    points of order 5."""
+    m, q = c.m, c.q
+    r = [4, 8 * m, 4 * q, 0]
+    f4 = [2, 8 * m, 10 * q, 0, -10 * q * q, -8 * m * q * q, -2 * q**3]
+    psi3 = _curve.three_torsion_coeffs(c)
+    left = _poly_mul(_poly_mul(r, r), f4)
+    right = _poly_mul(_poly_mul(psi3, psi3), psi3)
+    return [a - b for a, b in zip(left, right)]
 
 
-def _residue_tables(c: CurveMND) -> list[tuple[int, set[int]]]:
-    tables = []
-    m2 = 2 * c.m
+def halving_coeffs(c: CurveMND, x4: int) -> list[int]:
+    """(x^2 - q)^2 - 4*x4*rhs(x), leading coefficient first: its roots are
+    the x with x(2P) = ((x^2 - q) / (2y))^2 = x4, so at a point of order 4
+    with x-coordinate x4 they are the x-coordinates of its halves."""
     q = c.q
-    for mod in _FILTER_MODULI:
-        attain = {(((x + m2) * x + q) * x) % mod for x in range(mod)}
-        tables.append((mod, attain))
-    return tables
+    return [1, -4 * x4, -2 * q - 8 * c.m * x4, -4 * q * x4, q * q]
+
+
+def _torsion_points(
+    c: CurveMND, xs: Iterable[int], found: dict[Point, int]
+) -> list[Point]:
+    """The points (x, y), y >= 0, of finite order over the integers x in xs;
+    each is recorded in found with its negative."""
+    points = []
+    for x in xs:
+        y = intmath.int_sqrt(c.rhs(x))
+        if y is None:
+            continue
+        p = Point(x, y)
+        k = _curve.order(c, p)
+        # Non-torsion integer points do occur; only finite orders are kept.
+        if k is not None:
+            found[p] = k
+            found[Point(x, -y)] = k
+            points.append(p)
+    return points
 
 
 def torsion_group(c: CurveMND, weak_bound: bool = False) -> TorsionGroup:
-    """Enumerate the full rational torsion group of the curve.
+    """Find the full rational torsion group of the curve.
 
-    weak_bound=True relaxes the candidate bound from y^2 | delta to
-    y | delta, as a paranoia check against the divisor-bound convention;
-    it only ever enlarges the candidate set, and it skips the reduction
-    bound, so every candidate is tried.
+    Each torsion condition is solved only when the reduction bound g allows
+    its order: order 4 when 4 | g, order 8 when 8 | g, order 3 when 3 | g,
+    order 5 when 5 | g (all of them when g = 0).  weak_bound=True skips the
+    bound, so every condition is solved, as a check on the bound itself.
     """
     m2 = 2 * c.m
     q = c.q
@@ -153,21 +177,37 @@ def torsion_group(c: CurveMND, weak_bound: bool = False) -> TorsionGroup:
     if len(found) + 1 == bound:
         return _assemble(c, found)
 
-    tables = _residue_tables(c)
-    for y in _candidate_ys(_delta_factorization(c), weak_bound):
-        y2 = y * y
-        if any(y2 % mod not in attain for mod, attain in tables):
-            continue
-        for x in intmath.cubic_integer_roots(m2, q, -y2):
-            p = Point(x, y)
-            k = _curve.order(c, p)
-            if k is not None:
-                # Non-torsion integer points do occur; only finite orders
-                # are kept.
-                found[p] = k
-                found[Point(x, -y)] = k
-                if len(found) + 1 == bound:
-                    return _assemble(c, found)
+    # (0, 0) is the only rational point of order 2, so a point of order 4
+    # has x(2P) = ((x^2 - q) / (2y))^2 = 0: x = +-sqrt(q).
+    two_power = list(found)
+    if bound % 4 == 0:
+        r = intmath.int_sqrt(q)
+        fours = _torsion_points(c, (r, -r) if r else (), found)
+        if fours:
+            two_power = fours
+            if bound % 8 == 0:
+                halves = intmath.integer_roots(halving_coeffs(c, fours[0].x))
+                two_power = _torsion_points(c, halves, found) or fours
+    odd = []
+    if bound % 3 == 0:
+        odd += _torsion_points(c, intmath.integer_roots(_curve.three_torsion_coeffs(c)), found)
+    if bound % 5 == 0:
+        odd += _torsion_points(c, intmath.integer_roots(five_division_coeffs(c)), found)
+
+    # Mazur leaves a cyclic group of even order at most 12, so its odd part
+    # has order 1, 3 or 5 and it is generated by its largest 2-power point
+    # plus an odd-order point.
+    gen = INFINITY
+    for part in (two_power, odd):
+        if part:
+            gen = _curve._add_raw(c, gen, part[0])
+    total = _curve.order(c, gen)
+    if total is None:
+        raise OracleError(f"{c}: {gen} has no order up to {_curve.MAX_TORSION_ORDER}")
+    acc = gen
+    for k in range(1, total):
+        found[acc] = total // math.gcd(k, total)
+        acc = _curve._add_raw(c, acc, gen)
     return _assemble(c, found)
 
 

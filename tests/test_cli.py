@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 
 import pytest
 
@@ -326,9 +327,9 @@ class TestRecordStream:
 
 
 class TestLargeInputs:
-    """Inputs that trial division or the oracle's divisor enumeration
-    rejected or stalled on.  Each runs in a child process with a timeout, so
-    a stall fails the test instead of hanging the suite."""
+    """Inputs that trial division or a factoring oracle rejected or stalled
+    on.  Each runs in a child process with a timeout, so a stall fails the
+    test instead of hanging the suite."""
 
     @staticmethod
     def cli(*argv):
@@ -366,8 +367,8 @@ class TestLargeInputs:
         assert str(d) in proc.stderr
 
     # Z4 curves normalize(a^2 + b^2*D, 2ab, D) with a = 3*5*...*29: the
-    # discriminant has 13 or 14 distinct primes, which gives the oracle
-    # 82,944 to 207,360 candidate y.
+    # discriminant has 13 or 14 distinct primes, which the oracle never
+    # factors.
     @pytest.mark.parametrize(
         "curve",
         [
@@ -384,6 +385,23 @@ class TestLargeInputs:
         assert proc.returncode == EXIT_OK, proc.stderr
         assert "class: Z4" in proc.stdout
         assert "agree: yes" in proc.stdout
+
+    def test_oracle_does_not_factor_q(self):
+        # q = m^2 + 4 has a 42-digit probable prime factor, beyond the proven
+        # Miller-Rabin range; classify never factors q, nor does the oracle.
+        proc = self.cli("classify", "587320478161116480663150048312", "2", "-1", "--oracle")
+        assert proc.returncode == EXIT_OK, proc.stderr
+        assert "agree: yes" in proc.stdout
+
+    def test_every_small_prime_bad_oracle_exits_0(self):
+        # n is the product of the primes below 1000: each divides the
+        # discriminant, so g = 0 and every torsion condition is solved, at
+        # primes past 1000.
+        n = math.prod(p for p in range(2, 1000) if all(p % d for d in range(2, p)))
+        proc = self.cli("oracle", "1", str(n), "-1")
+        assert proc.returncode == EXIT_OK, proc.stderr
+        assert "structure: Z2 (order 2)" in proc.stdout
+        assert "reduction bound: 0" in proc.stdout
 
 
 class TestEntryPoint:

@@ -1,4 +1,6 @@
+import math
 import random
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +13,7 @@ from eventorsion.intmath import (
     divisors,
     factorization,
     int_sqrt,
+    integer_roots,
     iroot,
     is_squarefree,
     rat_sqrt,
@@ -213,6 +216,128 @@ class TestCubicIntegerRoots:
     @given(st.lists(st.integers(min_value=-(10**30), max_value=10**30), min_size=3, max_size=3))
     def test_large_planted_roots(self, roots):
         assert cubic_integer_roots(*cubic_from_roots(*roots)) == sorted(set(roots))
+
+
+def poly_from_roots(lead: int, roots, cofactor=(1,)) -> list[int]:
+    """Coefficients, leading first, of lead * cofactor * prod (x - r)."""
+    f = [lead * a for a in cofactor]
+    for r in roots:
+        f = [a - r * b for a, b in zip(f + [0], [0] + f)]
+    return f
+
+
+def poly_value(f, x: int) -> int:
+    v = 0
+    for a in f:
+        v = v * x + a
+    return v
+
+
+def has_repeated_factor(f) -> bool:
+    """gcd(f, f') over Q has positive degree, by Euclid on Fractions."""
+    from fractions import Fraction
+
+    d = len(f) - 1
+    a = [Fraction(c) for c in f]
+    b = [Fraction(c * (d - i)) for i, c in enumerate(f[:-1])]
+    while any(b):
+        while b and b[0] == 0:
+            del b[0]
+        while len(a) >= len(b):
+            q = a[0] / b[0]
+            a = [x - q * y for x, y in zip(a, b + [0] * (len(a) - len(b)))][1:]
+        a, b = b, a
+    return len(a) > 1
+
+
+class TestIntegerRoots:
+    @given(
+        st.integers(min_value=1, max_value=12).flatmap(
+            lambda d: st.tuples(
+                st.just(d),
+                st.lists(
+                    st.integers(min_value=-(10**20), max_value=10**20),
+                    max_size=d,
+                    unique=True,
+                ),
+                st.integers(min_value=1, max_value=50),
+            )
+        )
+    )
+    @settings(max_examples=300)
+    def test_planted_roots(self, args):
+        # 2x^j + 1 has no integer root and no repeated root, so the planted
+        # roots are all of them.
+        d, roots, lead = args
+        j = d - len(roots)
+        cofactor = (2, *[0] * (j - 1), 1) if j else (1,)
+        f = poly_from_roots(lead, roots, cofactor)
+        assert len(f) == d + 1
+        assert integer_roots(f) == sorted(roots)
+
+    @given(st.lists(st.integers(min_value=-20, max_value=20), min_size=1, max_size=6))
+    @settings(max_examples=500)
+    def test_random_monic_against_brute_force(self, tail):
+        # Every integer root lies inside the Cauchy bound 1 + max|a_i| <= 21.
+        f = [1, *tail]
+        brute = [x for x in range(-21, 22) if poly_value(f, x) == 0]
+        try:
+            got = integer_roots(f)
+        except ValueError:
+            assert has_repeated_factor(f), f
+        else:
+            assert got == brute
+
+    @pytest.mark.parametrize(
+        "f,roots",
+        [
+            ([2, -6], [3]),
+            ([2, -3], []),
+            ([7], []),
+            ([1, 0], [0]),
+            ([1, 0, 0, 0], [0]),
+            ([0, 0, 1, -3], [3]),
+            ([1, -2, -3, 0, 0], [-1, 0, 3]),
+            ([3, 0, 0, 0, 5, 0, 0], [0]),
+        ],
+    )
+    def test_small_and_x_power_cases(self, f, roots):
+        assert integer_roots(f) == roots
+
+    @given(
+        st.lists(st.integers(min_value=-(10**9), max_value=10**9), max_size=5, unique=True),
+        st.integers(min_value=1, max_value=4),
+    )
+    @settings(max_examples=200)
+    def test_x_power_stripped(self, roots, k):
+        roots = [r for r in roots if r]
+        f = poly_from_roots(3, roots, (1, 0, 5)) + [0] * k
+        assert integer_roots(f) == sorted(roots + [0])
+
+    def test_prime_walk_passes_1000(self):
+        # (x - 1)(x - 1 - P) with P the product of the primes below 1000 has
+        # a double root mod each of them; the first usable prime is 1009.
+        big = math.prod(intmath._SMALL_PRIMES)
+        f = poly_from_roots(1, [1, 1 + big])
+        assert all(big % p == 0 for p in intmath._SMALL_PRIMES)
+        assert integer_roots(f) == [1, 1 + big]
+
+    def test_primes_extend_past_the_sieve(self):
+        primes = list(islice(intmath._primes(), 2000))
+        assert primes[-1] > 4 * intmath._SMALL_PRIMES[-1]
+        brute = [n for n in range(2, primes[-1] + 1) if all(n % p for p in range(2, math.isqrt(n) + 1))]
+        assert primes == brute
+
+    @pytest.mark.parametrize("f", [[1, 0, -3, 2], [4, -4, 1], [1, -15, 75, -125]])
+    def test_repeated_root_raises(self, f):
+        # (x - 1)^2 (x + 2), (2x - 1)^2 and (x - 5)^3: every prime fails.
+        assert has_repeated_factor(f)
+        with pytest.raises(ValueError, match="not squarefree"):
+            integer_roots(f)
+
+    def test_zero_polynomial_raises(self):
+        with pytest.raises(ValueError):
+            integer_roots([0, 0])
 
 
 class TestFactorization:

@@ -1,9 +1,10 @@
-import tracemalloc
-from itertools import islice, product
+import time
+from itertools import product
+from types import SimpleNamespace
 
 import pytest
 
-from eventorsion import oracle
+from eventorsion import intmath, oracle
 from eventorsion.classifier import CASES
 from eventorsion.curve import (
     INFINITY,
@@ -14,6 +15,7 @@ from eventorsion.curve import (
     double_x,
     normalize,
     order,
+    three_torsion_coeffs,
 )
 from eventorsion.family import sample_case, sweep_curves
 from eventorsion.oracle import (
@@ -173,29 +175,41 @@ class TestTorsionGroup:
 
 @pytest.fixture
 def enumerations(monkeypatch):
-    """Curves the candidate enumeration runs on, recorded at its first step."""
+    """Curves a torsion condition is solved on, one entry per solve: the
+    order-4 closed form, the order-8 halving quartic, psi_3 and psi_5."""
     calls = []
-    real = oracle._delta_factorization
+    real = oracle._torsion_points
     monkeypatch.setattr(
-        oracle, "_delta_factorization", lambda c: calls.append(c) or real(c)
+        oracle,
+        "_torsion_points",
+        lambda c, xs, found: calls.append(c) or real(c, xs, found),
     )
     return calls
 
 
-def test_candidate_ys_are_lazy():
-    # 207,360 candidate y for this many-prime curve; taking the first
-    # thousand must not build the rest.
+def test_many_prime_z4_curve_is_quick():
+    # The discriminant has 13 distinct primes; the oracle factors none of
+    # it, and with bound g = 4 it takes one square root of q.
     c = normalize(10464232622576958223, 6469693230, -2)
-    items = oracle._delta_factorization(c)
-    tracemalloc.start()
-    try:
-        ys = list(islice(oracle._candidate_ys(items, weak_bound=False), 1000))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert len(ys) == 1000 and len(set(ys)) == 1000
-    assert all(discriminant(c) % (y * y) == 0 for y in ys)
-    assert peak < 1 << 20, peak
+    assert reduction_bound(c) == 4
+    start = time.perf_counter()
+    group = torsion_group(c)
+    elapsed = time.perf_counter() - start
+    assert group.structure == "Z4"
+    assert elapsed < 0.05, elapsed
+
+
+def test_oracle_factors_nothing(monkeypatch):
+    curves = [CurveMND(*triple) for triple, _ in PINNED]
+    curves.append(normalize(10464232622576958223, 6469693230, -2))
+
+    def refuse(x):
+        raise AssertionError(f"factorization({x}) called")
+
+    monkeypatch.setattr(oracle.intmath, "factorization", refuse)
+    for c in curves:
+        torsion_group(c)
+        torsion_group(c, weak_bound=True)
 
 
 class TestReductionBound:
@@ -218,7 +232,9 @@ class TestReductionBound:
         monkeypatch.setattr(oracle, "_REDUCTION_PRIMES", (3, 5, 7))
         assert reduction_bound(c) == 0
         group = torsion_group(c)
-        assert enumerations == [c]
+        # q = 1 - 105^2*2 < 0 has no square root, so no order-4 point is
+        # there to halve: the order-4, order-3 and order-5 solves run.
+        assert enumerations == [c] * 3
         assert group.elements == (INFINITY, Point(0, 0))
         assert group == torsion_group(c, weak_bound=True)
 
@@ -226,7 +242,14 @@ class TestReductionBound:
         assert torsion_group(C523).structure == "Z2"
         assert enumerations == []
         assert torsion_group(C523, weak_bound=True).structure == "Z2"
-        assert enumerations == [C523]
+        assert enumerations == [C523] * 3
+
+    def test_z8_curve_halves_its_order_four_point(self, enumerations):
+        # weak_bound solves every condition; q = 81, and the order-4 point
+        # (9, 72) of this Z8 curve is halved, so four solves run.
+        c = CurveMND(23, 8, 7)
+        assert torsion_group(c, weak_bound=True).structure == "Z8"
+        assert enumerations == [c] * 4
 
     def test_sweep_paths_agree(self):
         _assert_paths_agree(sweep_curves(12, 12, 10))
@@ -236,6 +259,66 @@ class TestReductionBound:
         samples = sample_case(case, SAMPLE_BOUNDS[case])
         assert samples
         _assert_paths_agree(s.curve for s in samples)
+
+
+class TestTorsionConditions:
+    """The coefficient lists the oracle solves, derived symbolically in m, q
+    and x4 from the doubling formula and the division-polynomial recursion
+    (Silverman, AEC Exercise 3.7, with a1 = a3 = a6 = 0, a2 = 2m, a4 = q)."""
+
+    @pytest.fixture
+    def sym(self):
+        sympy = pytest.importorskip("sympy")
+        m, q, x, y, x4 = sympy.symbols("m q x y x4")
+        rhs = x**3 + 2 * m * x**2 + q * x
+        curve = SimpleNamespace(m=m, q=q)
+
+        def coeffs(expr):
+            return [sympy.expand(a) for a in sympy.Poly(sympy.expand(expr), x).all_coeffs()]
+
+        def same(got, want):
+            return [sympy.expand(a) for a in got] == coeffs(want)
+
+        return SimpleNamespace(
+            sympy=sympy, m=m, q=q, x=x, y=y, x4=x4, rhs=rhs, curve=curve, same=same
+        )
+
+    def test_halving_quartic(self, sym):
+        sympy, x, y, rhs = sym.sympy, sym.x, sym.y, sym.rhs
+        # The tangent construction agrees with the closed form of x(2P).
+        lam = (3 * x**2 + 4 * sym.m * x + sym.q) / (2 * y)
+        closed = ((x**2 - sym.q) / (2 * y)) ** 2
+        assert sympy.simplify((lam**2 - 2 * sym.m - 2 * x - closed).subs(y**2, rhs)) == 0
+        # x(2P) = x4 with 4y^2 = 4*rhs(x) cleared.
+        num, den = sympy.fraction(sympy.together(closed - sym.x4))
+        assert sympy.expand(den) == 4 * y**2
+        want = sympy.expand(num).subs(y**2, rhs)
+        assert sym.same(oracle.halving_coeffs(sym.curve, sym.x4), want)
+
+    def test_division_polynomials(self, sym):
+        sympy, m, q, x, y = sym.sympy, sym.m, sym.q, sym.x, sym.y
+        b2, b4, b6, b8 = 4 * 2 * m, 2 * q, 0, -q * q
+        psi = {
+            1: 1,
+            2: 2 * y,
+            3: 3 * x**4 + b2 * x**3 + 3 * b4 * x**2 + 3 * b6 * x + b8,
+            4: 2 * y * (
+                2 * x**6 + b2 * x**5 + 5 * b4 * x**4 + 10 * b6 * x**3
+                + 10 * b8 * x**2 + (b2 * b8 - b4 * b6) * x + b4 * b8 - b6**2
+            ),
+        }
+        # psi_{2k+1} = psi_{k+2} psi_k^3 - psi_{k-1} psi_{k+1}^3 at k = 2.
+        psi5 = sympy.expand(psi[4] * psi[2] ** 3 - psi[1] * psi[3] ** 3)
+        psi5 = psi5.subs(y**4, sym.rhs**2)
+        assert not psi5.has(y)
+        assert sym.same(three_torsion_coeffs(sym.curve), psi[3])
+        assert sym.same(oracle.five_division_coeffs(sym.curve), psi5)
+
+    def test_roots_are_torsion_x(self):
+        c = CurveMND(95, 32, 10)
+        assert 81 in intmath.integer_roots(oracle.five_division_coeffs(c))
+        assert -27 in intmath.integer_roots(oracle.halving_coeffs(CurveMND(23, 8, 7), 9))
+        assert 1 in intmath.integer_roots(three_torsion_coeffs(C323))
 
 
 class TestAssemble:
