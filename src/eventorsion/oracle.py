@@ -18,6 +18,8 @@ Before solving, the oracle bounds the group's order by reduction: at an
 odd prime p of good reduction, rational torsion injects into E(F_p)
 (Silverman, AEC VII.3.1 with VII.3.4), so #T divides the gcd g of #E(F_p)
 over the first six odd primes up to 47 that do not divide the discriminant.
+#E(F_p) depends only on (p, 2m mod p, q mod p), so each count is memoized
+per residue class; the cache holds at most sum(p^2) = 10,462 entries.
 When g equals the number of points of order dividing 2 (for a family
 member, when g = 2), those points are the whole group and nothing is
 solved.  Otherwise a condition of order k is solved only when k divides g;
@@ -31,6 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable
 
 from . import curve as _curve
@@ -85,12 +88,23 @@ def discriminant(c: CurveMND) -> int:
     return 64 * q * q * c.n * c.n * c.D
 
 
+# #E(F_p) depends only on (p, a, b) with a, b residues mod p, so the cache
+# holds at most sum(p^2 for p in _REDUCTION_PRIMES) = 10,462 entries.
+@lru_cache(maxsize=None)
+def _point_count(p: int, a: int, b: int) -> int:
+    """#E(F_p) = p + 1 + sum_x chi_p(x^3 + a*x^2 + b*x), for 0 <= a, b < p."""
+    chi = _CHARACTERS[p]
+    return p + 1 + sum(chi[((x + a) * x + b) * x % p] for x in range(p))
+
+
 def reduction_bound(c: CurveMND) -> int:
     """A multiple of the torsion order: gcd of #E(F_p) over good odd primes.
 
-    #E(F_p) = p + 1 + sum_x chi_p(x^3 + 2m*x^2 + q*x).  Primes dividing the
-    discriminant are skipped; the gcd stops early at 2, the least it can be
-    since (0, 0) has order 2.  Returns 0 when no listed prime is usable.
+    #E(F_p) = p + 1 + sum_x chi_p(x^3 + 2m*x^2 + q*x) depends only on
+    (p, 2m mod p, q mod p), and `_point_count` memoizes it per residue class.
+    Primes dividing the discriminant are skipped; the gcd stops early at 2,
+    the least it can be since (0, 0) has order 2.  Returns 0 when no listed
+    prime is usable.
     """
     disc = discriminant(c)
     g = 0
@@ -98,11 +112,7 @@ def reduction_bound(c: CurveMND) -> int:
     for p in _REDUCTION_PRIMES:
         if disc % p == 0:
             continue
-        chi = _CHARACTERS[p]
-        m2 = 2 * c.m % p
-        q = c.q % p
-        count = p + 1 + sum(chi[((x + m2) * x + q) * x % p] for x in range(p))
-        g = math.gcd(g, count)
+        g = math.gcd(g, _point_count(p, 2 * c.m % p, c.q % p))
         used += 1
         if g == 2 or used == _REDUCTION_PRIME_COUNT:
             break

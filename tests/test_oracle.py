@@ -261,6 +261,63 @@ class TestReductionBound:
         _assert_paths_agree(s.curve for s in samples)
 
 
+def _euler_count(p: int, a: int, b: int) -> int:
+    """#E(F_p) for y^2 = x^3 + a*x^2 + b*x with the Legendre symbol taken
+    by Euler's criterion, independent of oracle._CHARACTERS."""
+    total = p + 1
+    for x in range(p):
+        v = (x * x * x + a * x * x + b * x) % p
+        if v:
+            total += 1 if pow(v, (p - 1) // 2, p) == 1 else -1
+    return total
+
+
+CLASS_BOUND = sum(p * p for p in oracle._REDUCTION_PRIMES)
+
+
+class TestPointCount:
+    def test_every_residue_class_cold_then_warm(self):
+        classes = [
+            (p, a, b) for p in oracle._REDUCTION_PRIMES for a in range(p) for b in range(p)
+        ]
+        assert len(classes) == CLASS_BOUND == 10462
+        want = [_euler_count(*key) for key in classes]
+        oracle._point_count.cache_clear()
+        assert [oracle._point_count(*key) for key in classes] == want
+        assert oracle._point_count.cache_info().misses == CLASS_BOUND
+        assert [oracle._point_count(*key) for key in classes] == want
+        info = oracle._point_count.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (CLASS_BOUND, CLASS_BOUND, CLASS_BOUND)
+
+    @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+    def test_small_primes_against_direct_point_search(self, p):
+        for a, b in product(range(p), repeat=2):
+            model = SimpleNamespace(rhs=lambda x: x**3 + a * x * x + b * x)
+            assert oracle._point_count(p, a, b) == _points_mod_p(model, p), (a, b)
+
+    @pytest.mark.parametrize("p", [7, 11, 13, 47])
+    def test_no_stale_counts_from_other_primes(self, monkeypatch, p):
+        curves = [C322, C323, C523, CurveMND(95, 32, 10), *sweep_curves(8, 8, 5)]
+        oracle._point_count.cache_clear()
+        others = tuple(r for r in oracle._REDUCTION_PRIMES if r != p)
+        monkeypatch.setattr(oracle, "_REDUCTION_PRIMES", others)
+        for c in curves:
+            reduction_bound(c)
+        assert oracle._point_count.cache_info().currsize > 0
+        monkeypatch.setattr(oracle, "_REDUCTION_PRIMES", (p,))
+        for c in curves:
+            want = _points_mod_p(c, p) if discriminant(c) % p else 0
+            assert reduction_bound(c) == want, c
+
+    def test_cache_stays_within_residue_classes(self):
+        oracle._point_count.cache_clear()
+        for c in sweep_curves(12, 12, 10):
+            torsion_group(c)
+        info = oracle._point_count.cache_info()
+        assert 0 < info.currsize <= CLASS_BOUND
+        assert info.hits > info.misses
+
+
 class TestTorsionConditions:
     """The coefficient lists the oracle solves, derived symbolically in m, q
     and x4 from the doubling formula and the division-polynomial recursion
