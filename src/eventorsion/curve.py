@@ -210,11 +210,11 @@ def from_general(cubic: GeneralCubic) -> CurveMND | NonCyclicReport:
     """Recognize a general rational cubic as a member of the family.
 
     Scales to an integer monic model, whose rational roots are its integer
-    roots, found by intmath.cubic_integer_roots without factoring anything;
-    translates the single rational root to 0, rescales once more by 2 if
-    needed so the middle coefficient is even, and normalizes.  Three
-    rational roots yield a NonCyclicReport; zero rational roots are
-    rejected.
+    roots, found by intmath.integer_roots without factoring anything (the
+    model is squarefree: a zero discriminant is rejected first); translates
+    the single rational root to 0, rescales once more by 2 if needed so the
+    middle coefficient is even, and normalizes.  Three rational roots yield
+    a NonCyclicReport; zero rational roots are rejected.
     """
     if cubic.discriminant() == 0:
         raise SingularCurveError("cubic has a repeated root")
@@ -224,7 +224,7 @@ def from_general(cubic: GeneralCubic) -> CurveMND | NonCyclicReport:
     b = int(cubic.a2 * scale**2)
     c = int(cubic.a4 * scale**4)
     d = int(cubic.a6 * scale**6)
-    roots = intmath.cubic_integer_roots(b, c, d)
+    roots = intmath.integer_roots([1, b, c, d])
     if not roots:
         raise NoRationalTwoTorsionError(
             "cubic has no rational root: no rational point of order 2"

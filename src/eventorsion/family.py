@@ -25,11 +25,20 @@ from .curve import CurveMND
 
 @dataclass(frozen=True)
 class FamilySample:
-    case_tag: str
+    """A case witness, its normalized curve and the predicted generator's x
+    on that curve; the case tag and predicted class follow from the witness."""
+
     params: Witness
     curve: CurveMND
-    predicted: TorsionClass
     predicted_generator_x: int
+
+    @property
+    def case_tag(self) -> str:
+        return self.params.tag
+
+    @property
+    def predicted(self) -> TorsionClass:
+        return TorsionClass(self.params)
 
 
 def sample_case(case_tag: str, bound: int) -> list[FamilySample]:
@@ -59,7 +68,7 @@ def sample_case(case_tag: str, bound: int) -> list[FamilySample]:
                 f"case {case_tag} sample {witness}: generator x {gen_x} "
                 f"does not rescale by {e2}"
             )
-        out[key] = FamilySample(case_tag, witness, cur, TorsionClass(witness), gx)
+        out[key] = FamilySample(witness, cur, gx)
     return sorted(out.values(), key=lambda s: (s.curve.m, s.curve.n, s.curve.D))
 
 

@@ -1,14 +1,12 @@
-"""Exact integer primitives: perfect squares, integer roots of cubics and of
-squarefree polynomials of any degree, factorization, squarefree splitting,
-divisors.
+"""Exact integer primitives: perfect squares, integer roots of squarefree
+polynomials of any degree, factorization, squarefree splitting, divisors.
 
 Everything runs on Python's arbitrary-precision integers (and Fraction for
 the one rational helper); no floating point is used anywhere in the package.
 
 `integer_roots` solves a squarefree polynomial of any degree p-adically
 (Hensel lifting from a prime at which every root is simple) and factors
-nothing; `cubic_integer_roots` bisects a cubic's monotone pieces, so it also
-finds double and triple roots.
+nothing.
 
 Factoring divides out the primes below 1000, proves larger cofactors prime
 with deterministic Miller-Rabin and splits composite ones with Brent's
@@ -81,60 +79,6 @@ def rat_sqrt(x: Fraction) -> Fraction | None:
     if den is None:
         return None
     return Fraction(num, den)
-
-
-def iroot(n: int, k: int) -> int:
-    """Floor of the k-th root of n >= 0."""
-    if n < 2:
-        return n
-    x = 1 << ((n.bit_length() + k - 1) // k)
-    while True:
-        y = ((k - 1) * x + n // x ** (k - 1)) // k
-        if y >= x:
-            return x
-        x = y
-
-
-def cubic_integer_roots(b: int, c: int, d: int) -> list[int]:
-    """Ascending integer roots of x^3 + b*x^2 + c*x + d, each listed once.
-
-    With d = 0 they are 0 and the roots of x^2 + b*x + c, in closed form.
-    Otherwise the floors of the critical points (-b -+ sqrt(b^2 - 3c)) / 3
-    split the integers into at most three pieces on which the cubic is
-    strictly monotone, so each piece holds at most one root, found by
-    bisection inside Fujiwara's bound 2*max(|b|, sqrt|c|, cbrt|d|).
-    """
-    if d == 0:
-        roots = {0}
-        r = int_sqrt(b * b - 4 * c)
-        if r is not None and (b + r) % 2 == 0:
-            roots.update(((-b - r) // 2, (-b + r) // 2))
-        return sorted(roots)
-    bound = 2 * max(abs(b), math.isqrt(abs(c)) + 1, iroot(abs(d), 3) + 1)
-    # Each piece is the integers in (cuts[i], cuts[i + 1]], rising first.
-    cuts = [-bound - 1, bound]
-    disc = b * b - 3 * c
-    if disc > 0:
-        r = math.isqrt(disc)
-        cuts[1:1] = [(-b - r - (r * r != disc)) // 3, (-b + r) // 3]
-    roots = []
-    sign = 1
-    for lo, hi in zip(cuts, cuts[1:]):
-        lo += 1
-        # sign * f rises on the piece: it holds a root only if that crosses 0.
-        if lo <= hi and sign * (((lo + b) * lo + c) * lo + d) <= 0 <= sign * (
-            ((hi + b) * hi + c) * hi + d
-        ):
-            while lo < hi:
-                mid = (lo + hi) // 2
-                if sign * (((mid + b) * mid + c) * mid + d) >= 0:
-                    hi = mid
-                else:
-                    lo = mid + 1
-            if ((lo + b) * lo + c) * lo + d == 0:
-                roots.append(lo)
-        sign = -sign
-    return roots
 
 
 def _primes() -> Iterator[int]:

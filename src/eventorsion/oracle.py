@@ -3,16 +3,18 @@
 Every rational torsion point on the integral model y^2 = x^3 + 2m*x^2 + q*x
 has integer coordinates (Nagell-Lutz), so its x is an integer root of the
 condition its order imposes, and y = sqrt(rhs(x)) is an integer.  The points
-of order 2 are the integer roots of the cubic; (0, 0) is a family member's
-only one, so the group is cyclic and, by Mazur, of order 2, 4, 6, 8, 10 or
-12.  Its points of order 4 have x(2P) = 0, that is x = +-sqrt(q); those of
-order 8 halve one of order 4, at the integer roots of a quartic; those of
-order 3 and 5 lie at the integer roots of the division polynomials psi_3
-and psi_5 (Silverman, AEC Exercise 3.7).  All roots come from
-`intmath.integer_roots`, and nothing is factored.  A root is kept when
-rhs(x) is a square and the point has finite order.  The largest 2-power
-point plus an odd-order point generates the group; its multiples and every
-point found are checked to form exactly one cyclic group of Mazur's list.
+of order 2 are the roots of the cubic, in closed form: x = 0, and
+x = -m +- r when r = sqrt(m^2 - q) is an integer.  m^2 - q = n^2*D is not a
+square, so (0, 0) is a family member's only one, the group is cyclic and,
+by Mazur, of order 2, 4, 6, 8, 10 or 12.  Its points of order 4 have
+x(2P) = 0, that is x = +-sqrt(q); those of order 8 halve one of order 4, at
+the integer roots of a quartic; those of order 3 and 5 lie at the integer
+roots of the division polynomials psi_3 and psi_5 (Silverman, AEC
+Exercise 3.7).  Those roots come from `intmath.integer_roots`, and nothing
+is factored.  A root is kept when rhs(x) is a square and the point has
+finite order.  The largest 2-power point plus an odd-order point generates
+the group; its multiples and every point found are checked to form exactly
+one cyclic group of Mazur's list.
 
 Before solving, the oracle bounds the group's order by reduction: at an
 odd prime p of good reduction, rational torsion injects into E(F_p)
@@ -177,10 +179,12 @@ def torsion_group(c: CurveMND, weak_bound: bool = False) -> TorsionGroup:
     order 5 when 5 | g (all of them when g = 0).  weak_bound=True skips the
     bound, so every condition is solved, as a check on the bound itself.
     """
-    m2 = 2 * c.m
-    q = c.q
-    # Every point with y = 0 has order 2.
-    found = {Point(x, 0): 2 for x in intmath.cubic_integer_roots(m2, q, 0)}
+    m, q = c.m, c.q
+    # Every point with y = 0 has order 2: x = 0 and, when r is an integer,
+    # the roots -m +- r of x^2 + 2m*x + q.
+    r = intmath.int_sqrt(m * m - q)
+    xs = (0,) if r is None else (0, -m - r, -m + r)
+    found = {Point(x, 0): 2 for x in xs}
     # #T divides the bound, and found plus infinity lies in T, so once they
     # are as many as the bound allows they are all of T.
     bound = 0 if weak_bound else reduction_bound(c)

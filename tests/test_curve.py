@@ -142,6 +142,24 @@ class TestFromGeneral:
         assert from_general(cubic) == CurveMND(p + 1, 1, 2)
 
     @given(
+        st.lists(
+            st.integers(min_value=-(10**30), max_value=10**30),
+            min_size=3,
+            max_size=3,
+            unique=True,
+        ),
+        st.integers(min_value=1, max_value=10**6),
+    )
+    def test_three_planted_rational_roots(self, nums, den):
+        # (x - r)(x - s)(x - t) with r, s, t = nums / den: the scaled monic
+        # model's roots are integers up to 10^30 * den^2, found exactly.
+        r, s, t = (Fraction(a, den) for a in nums)
+        cubic = GeneralCubic(-(r + s + t), r * s + r * t + s * t, -r * s * t)
+        report = from_general(cubic)
+        assert isinstance(report, NonCyclicReport)
+        assert report.roots == tuple(sorted((r, s, t)))
+
+    @given(
         st.integers(min_value=-10, max_value=10),
         st.integers(min_value=1, max_value=6),
         st.sampled_from([-5, -3, -2, -1, 2, 3, 5, 6]),

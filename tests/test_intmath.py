@@ -9,12 +9,10 @@ from hypothesis import strategies as st
 from eventorsion import intmath
 from eventorsion.intmath import (
     FactoringLimitError,
-    cubic_integer_roots,
     divisors,
     factorization,
     int_sqrt,
     integer_roots,
-    iroot,
     is_squarefree,
     rat_sqrt,
     signed_divisor_pairs,
@@ -62,29 +60,6 @@ class TestIntSqrt:
             assert f * f != x
         else:
             assert r * r == x
-
-
-class TestIroot:
-    """iroot sets Fujiwara's bound in cubic_integer_roots, so an off-by-one
-    there could hide a root."""
-
-    def test_cube_root_small(self):
-        assert iroot(0, 3) == 0
-        assert iroot(1, 3) == 1
-
-    @pytest.mark.parametrize("c", [2, 3, 10, 12345, 10**6 + 3, 2**40 + 1, 10**20])
-    def test_cube_root_at_perfect_cubes(self, c):
-        assert iroot(c**3 - 1, 3) == c - 1
-        assert iroot(c**3, 3) == c
-        assert iroot(c**3 + 1, 3) == c
-
-    @pytest.mark.parametrize("k", [2, 3, 4, 5])
-    def test_brute_force(self, k):
-        r = 0
-        for n in range(5000):
-            while (r + 1) ** k <= n:
-                r += 1
-            assert iroot(n, k) == r, (n, k)
 
 
 class TestSquarefreeSplit:
@@ -161,61 +136,6 @@ class TestDivisors:
         assert list(ds) == sorted(ds)
         assert all(x % d == 0 for d in ds)
         assert len(ds) == sum(1 for d in range(1, x + 1) if x % d == 0)
-
-
-def brute_cubic_roots(b: int, c: int, d: int) -> list[int]:
-    """Independent check: every integer inside Cauchy's root bound
-    1 + max(|b|, |c|, |d|), tested directly."""
-    cap = 1 + max(abs(b), abs(c), abs(d))
-    return [x for x in range(-cap, cap + 1) if ((x + b) * x + c) * x + d == 0]
-
-
-def cubic_from_roots(r: int, s: int, t: int) -> tuple[int, int, int]:
-    """Coefficients (b, c, d) of (x - r)(x - s)(x - t)."""
-    return -(r + s + t), r * s + r * t + s * t, -r * s * t
-
-
-small = st.integers(min_value=-30, max_value=30)
-
-
-class TestCubicIntegerRoots:
-    @given(small, small, small)
-    @settings(max_examples=300)
-    def test_three_integer_roots(self, r, s, t):
-        b, c, d = cubic_from_roots(r, s, t)
-        assert cubic_integer_roots(b, c, d) == sorted({r, s, t})
-
-    @given(small, small)
-    @settings(max_examples=200)
-    def test_double_root(self, r, s):
-        # A double root sits on a critical point of the cubic.
-        b, c, d = cubic_from_roots(r, r, s)
-        assert cubic_integer_roots(b, c, d) == sorted({r, s})
-
-    @given(small, small, small)
-    @settings(max_examples=300)
-    def test_root_times_quadratic(self, r, u, v):
-        # (x - r)(x^2 + u*x + v): the quadratic may add roots or none.
-        b, c, d = u - r, v - r * u, -r * v
-        roots = cubic_integer_roots(b, c, d)
-        assert r in roots
-        assert roots == brute_cubic_roots(b, c, d)
-
-    @given(small, small)
-    @settings(max_examples=200)
-    def test_zero_constant(self, b, c):
-        roots = cubic_integer_roots(b, c, 0)
-        assert 0 in roots
-        assert roots == brute_cubic_roots(b, c, 0)
-
-    @given(small, small, small)
-    @settings(max_examples=300)
-    def test_arbitrary_coefficients(self, b, c, d):
-        assert cubic_integer_roots(b, c, d) == brute_cubic_roots(b, c, d)
-
-    @given(st.lists(st.integers(min_value=-(10**30), max_value=10**30), min_size=3, max_size=3))
-    def test_large_planted_roots(self, roots):
-        assert cubic_integer_roots(*cubic_from_roots(*roots)) == sorted(set(roots))
 
 
 def poly_from_roots(lead: int, roots, cofactor=(1,)) -> list[int]:

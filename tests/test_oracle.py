@@ -378,6 +378,33 @@ class TestTorsionConditions:
         assert 1 in intmath.integer_roots(three_torsion_coeffs(C323))
 
 
+class TestFullTwoTorsion:
+    """The closed-form y = 0 solve on models with three roots.  A square D is
+    no family member, so the models skip CurveMND's validation."""
+
+    @pytest.mark.parametrize(
+        "m,n,d,roots",
+        [(3, 1, 4, [-5, -1, 0]), (5, 2, 4, [-9, -1, 0]), (10, 3, 1, [-13, -7, 0])],
+    )
+    def test_three_points_of_order_two(self, monkeypatch, m, n, d, roots):
+        c = object.__new__(CurveMND)
+        for name, value in zip("mnD", (m, n, d)):
+            object.__setattr__(c, name, value)
+        cap = 1 + max(abs(2 * m), abs(c.q))
+        assert [x for x in range(-cap, cap + 1) if c.rhs(x) == 0] == roots
+        seen = []
+        assemble = oracle._assemble
+
+        def capture(c, found):
+            seen.append(sorted(p.x for p in found if p.y == 0))
+            return assemble(c, found)
+
+        monkeypatch.setattr(oracle, "_assemble", capture)
+        with pytest.raises(oracle.OracleError, match="3 points of order 2"):
+            torsion_group(c)
+        assert seen == [roots]
+
+
 class TestAssemble:
     """_assemble's checks, each on a point set that violates it."""
 
