@@ -5,7 +5,8 @@ oracle disagreements, sample prediction mismatches), 2 invalid input,
 3 internal consistency failure, 4 factoring limit: a number the run must
 factor (D, gcd(m, n) and n/2) has a prime factor at or above 3.3*10^24,
 beyond the proven Miller-Rabin range, or a composite part with no prime
-factor below ~10^15 for Pollard rho to find within its step budget.
+factor below ~10^15 for Pollard rho to find within its step budget,
+141 (128 + SIGPIPE) when the reader closes standard output early.
 Integers of any length are read and printed in full.
 """
 
@@ -13,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import os
 import sys
 from collections import Counter
 from typing import TextIO
@@ -30,6 +32,7 @@ EXIT_MISMATCH = 1
 EXIT_INVALID = 2
 EXIT_INCONSISTENT = 3
 EXIT_LIMIT = 4
+EXIT_PIPE = 141
 
 
 def _render_text(report, out: TextIO) -> None:
@@ -228,6 +231,13 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except BrokenPipeError:
+        # The reader went away (`eventorsion sweep ... | head -1`); send the
+        # rest of stdout to devnull so the exit flush stays silent.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_PIPE
     except FactoringLimitError as exc:
         print(f"factoring limit: {exc}", file=sys.stderr)
         return EXIT_LIMIT

@@ -288,26 +288,29 @@ def double_x(c: CurveMND, p: Point) -> int | Fraction:
     return t * t
 
 
-def order(c: CurveMND, p: Point) -> int | None:
-    """Order of p, or None for infinite order.
+def _multiples(c: CurveMND, p: Point) -> list[Point] | None:
+    """[INFINITY, p, 2p, ..., (k-1)p] for p of order k, or None for infinite
+    order.
 
     Torsion orders are capped at MAX_TORSION_ORDER (Mazur), and any
     multiple with a non-integer coordinate proves infinite order on this
-    integral model, so the scan aborts there immediately.
+    integral model, so the walk stops there.
     """
-    _require_on_curve(c, p)
-    if p.is_infinity:
-        return 1
-    if not p.is_integral:
-        return None
+    multiples = [INFINITY]
     acc = p
-    for k in range(2, MAX_TORSION_ORDER + 1):
-        acc = _add_raw(c, acc, p)
-        if acc.is_infinity:
-            return k
-        if not acc.is_integral:
+    while not acc.is_infinity:
+        if not acc.is_integral or len(multiples) == MAX_TORSION_ORDER:
             return None
-    return None
+        multiples.append(acc)
+        acc = _add_raw(c, acc, p)
+    return multiples
+
+
+def order(c: CurveMND, p: Point) -> int | None:
+    """Order of p, or None for infinite order: see `_multiples`."""
+    _require_on_curve(c, p)
+    multiples = _multiples(c, p)
+    return None if multiples is None else len(multiples)
 
 
 def is_square_quad(z: QuadElement) -> QuadElement | None:

@@ -11,10 +11,12 @@ x(2P) = 0, that is x = +-sqrt(q); those of order 8 halve one of order 4, at
 the integer roots of a quartic; those of order 3 and 5 lie at the integer
 roots of the division polynomials psi_3 and psi_5 (Silverman, AEC
 Exercise 3.7).  Those roots come from `intmath.integer_roots`, and nothing
-is factored.  A root is kept when rhs(x) is a square and the point has
-finite order.  The largest 2-power point plus an odd-order point generates
-the group; its multiples and every point found are checked to form exactly
-one cyclic group of Mazur's list.
+is factored.  A root where rhs(x) is a square gives a point of exactly its
+condition's order: each condition's resultant with rhs is a power of q
+times a power of m^2 - q, both nonzero, so no root has y = 0.  The largest
+2-power point plus an odd-order point generates the group; one walk of its
+multiples gives the group, which must have an order from Mazur's cyclic
+list and contain every point found.
 
 Before solving, the oracle bounds the group's order by reduction: at an
 odd prime p of good reduction, rational torsion injects into E(F_p)
@@ -22,13 +24,11 @@ odd prime p of good reduction, rational torsion injects into E(F_p)
 over the first six odd primes up to 47 that do not divide the discriminant.
 #E(F_p) depends only on (p, 2m mod p, q mod p), so each count is memoized
 per residue class; the cache holds at most sum(p^2) = 10,462 entries.
-When g equals the number of points of order dividing 2 (for a family
-member, when g = 2), those points are the whole group and nothing is
-solved.  Otherwise a condition of order k is solved only when k divides g;
-when no listed prime is usable (g = 0), or with weak_bound=True, every
-condition is solved.  Nothing here uses the classifier: the structural
-inputs are the integrality of torsion points, the group law, the injection
-theorem and Mazur's list of cyclic orders.
+A condition of order k is solved only when k divides g, so when g = 2 (for
+a family member, T = Z/2) nothing is solved; when no listed prime is
+usable (g = 0), every condition is solved.  Nothing here uses the
+classifier: the structural inputs are the integrality of torsion points,
+the group law, the injection theorem and Mazur's list of cyclic orders.
 """
 
 from __future__ import annotations
@@ -151,49 +151,41 @@ def halving_coeffs(c: CurveMND, x4: int) -> list[int]:
     return [1, -4 * x4, -2 * q - 8 * c.m * x4, -4 * q * x4, q * q]
 
 
-def _torsion_points(
-    c: CurveMND, xs: Iterable[int], found: dict[Point, int]
-) -> list[Point]:
-    """The points (x, y), y >= 0, of finite order over the integers x in xs;
-    each is recorded in found with its negative."""
+def _torsion_points(c: CurveMND, xs: Iterable[int], found: set[Point]) -> list[Point]:
+    """The points (x, y), y > 0, over the roots x in xs of one torsion
+    condition; each is added to found with its negative."""
     points = []
     for x in xs:
         y = intmath.int_sqrt(c.rhs(x))
         if y is None:
             continue
         p = Point(x, y)
-        k = _curve.order(c, p)
-        # Non-torsion integer points do occur; only finite orders are kept.
-        if k is not None:
-            found[p] = k
-            found[Point(x, -y)] = k
-            points.append(p)
+        found.add(p)
+        found.add(Point(x, -y))
+        points.append(p)
     return points
 
 
-def torsion_group(c: CurveMND, weak_bound: bool = False) -> TorsionGroup:
+def torsion_group(c: CurveMND) -> TorsionGroup:
     """Find the full rational torsion group of the curve.
 
     Each torsion condition is solved only when the reduction bound g allows
     its order: order 4 when 4 | g, order 8 when 8 | g, order 3 when 3 | g,
-    order 5 when 5 | g (all of them when g = 0).  weak_bound=True skips the
-    bound, so every condition is solved, as a check on the bound itself.
+    order 5 when 5 | g (all of them when g = 0, none when g = 2).
     """
     m, q = c.m, c.q
     # Every point with y = 0 has order 2: x = 0 and, when r is an integer,
     # the roots -m +- r of x^2 + 2m*x + q.
     r = intmath.int_sqrt(m * m - q)
     xs = (0,) if r is None else (0, -m - r, -m + r)
-    found = {Point(x, 0): 2 for x in xs}
-    # #T divides the bound, and found plus infinity lies in T, so once they
-    # are as many as the bound allows they are all of T.
-    bound = 0 if weak_bound else reduction_bound(c)
-    if len(found) + 1 == bound:
-        return _assemble(c, found)
+    two_power = [Point(x, 0) for x in xs]
+    found = set(two_power)
+    # #T divides the bound, and a condition is solved only when the bound
+    # allows its order, so at g = 2 nothing is solved and (0, 0) generates T.
+    bound = reduction_bound(c)
 
     # (0, 0) is the only rational point of order 2, so a point of order 4
     # has x(2P) = ((x^2 - q) / (2y))^2 = 0: x = +-sqrt(q).
-    two_power = list(found)
     if bound % 4 == 0:
         r = intmath.int_sqrt(q)
         fours = _torsion_points(c, (r, -r) if r else (), found)
@@ -211,43 +203,33 @@ def torsion_group(c: CurveMND, weak_bound: bool = False) -> TorsionGroup:
     # Mazur leaves a cyclic group of even order at most 12, so its odd part
     # has order 1, 3 or 5 and it is generated by its largest 2-power point
     # plus an odd-order point.
-    gen = INFINITY
-    for part in (two_power, odd):
-        if part:
-            gen = _curve._add_raw(c, gen, part[0])
-    total = _curve.order(c, gen)
-    if total is None:
-        raise OracleError(f"{c}: {gen} has no order up to {_curve.MAX_TORSION_ORDER}")
-    acc = gen
-    for k in range(1, total):
-        found[acc] = total // math.gcd(k, total)
-        acc = _curve._add_raw(c, acc, gen)
-    return _assemble(c, found)
+    gen = two_power[0]
+    if odd:
+        gen = _curve._add_raw(c, gen, odd[0])
+    return _assemble(c, gen, found)
 
 
-def _assemble(c: CurveMND, found: dict[Point, int]) -> TorsionGroup:
+def _assemble(c: CurveMND, gen: Point, found: set[Point]) -> TorsionGroup:
+    """The group of gen's multiples, checked to be cyclic of an order in
+    Mazur's list and to contain every point found."""
     # x^2 + 2m*x + q has discriminant 4n^2*D, never a square for squarefree
     # D != 1, so y = 0 only at (0, 0) and the group is cyclic.
     two_torsion = [p for p in found if p.y == 0]
     if len(two_torsion) != 1:
         raise OracleError(f"{c}: {len(two_torsion)} points of order 2")
-    elements = tuple([INFINITY] + sorted(found, key=lambda p: (p.x, p.y)))
-    total = len(elements)
+    multiples = _curve._multiples(c, gen)
+    if multiples is None:
+        raise OracleError(f"{c}: {gen} has no order up to {_curve.MAX_TORSION_ORDER}")
+    total = len(multiples)
     if total not in MAZUR_CYCLIC_ORDERS:
         raise OracleError(f"{c}: impossible torsion structure Z{total}")
-    # Elements are sorted, so the generator choice is canonical.
-    gen = next((p for p in elements[1:] if found[p] == total), None)
-    if gen is None:
-        raise OracleError(f"{c}: no element of order {total} in cyclic group")
-    # gen's multiples must be exactly the found points.
-    span = set()
-    acc = INFINITY
-    for _ in range(total):
-        acc = _curve._add_raw(c, acc, gen)
-        span.add(acc)
-    if span != set(elements):
+    if not found.issubset(multiples):
         raise OracleError(f"{c}: enumerated points do not form a group")
-    return TorsionGroup(elements, gen)
+    # Elements are sorted, so the generator, the first k*gen with
+    # gcd(k, total) = 1, is canonical.
+    elements = sorted(multiples[1:], key=lambda p: (p.x, p.y))
+    generator = next(p for p in elements if math.gcd(multiples.index(p), total) == 1)
+    return TorsionGroup((INFINITY, *elements), generator)
 
 
 def assert_family_shape(group: TorsionGroup) -> bool:

@@ -2,14 +2,11 @@
 
 Runs every acceptance criterion at its stated bounds and tolerance (all
 equalities here are exact; there are no floating-point tolerances anywhere).
-Criterion 1's sweep bounds can be lowered for constrained CI environments
-via EVENTORSION_SWEEP_BOUNDS="m,n,d"; the defaults are the stated bounds.
 One line per criterion is printed on success; a failure carries the full
 list of violations in its assertion message.
 """
 
 import math
-import os
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -35,12 +32,8 @@ from eventorsion.family import sample_case, sweep_curves
 from eventorsion.intmath import int_sqrt, is_squarefree
 from eventorsion.oracle import assert_family_shape, torsion_group
 
-SWEEP_BOUNDS = tuple(
-    int(v) for v in os.environ.get("EVENTORSION_SWEEP_BOUNDS", "60,60,30").split(",")
-)
-Z12_BOUNDS = tuple(
-    int(v) for v in os.environ.get("EVENTORSION_Z12_BOUNDS", "500,500,50").split(",")
-)
+SWEEP_BOUNDS = (60, 60, 30)
+Z12_BOUNDS = (500, 500, 50)
 
 # x(2P) for the paper's generator P of each class: 0 (Z4), c^2 (Z6),
 # (u^2-v^2)^2 (Z8), v^2 (Z10), u^2 (Z12).

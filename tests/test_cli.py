@@ -11,6 +11,7 @@ from eventorsion.cli import (
     EXIT_LIMIT,
     EXIT_MISMATCH,
     EXIT_OK,
+    EXIT_PIPE,
     main,
 )
 from eventorsion.corpus import CorpusRecord
@@ -163,6 +164,27 @@ class TestSweepCommand:
             "m=3 n=2 D=3 class=Z6 generator=(-3,6) oracle=Z6 agree=yes",
         ]
         assert err == "curves=56 Z2=52 Z4=3 Z6=1 disagreements=0\n"
+
+    def test_closed_pipe_exits_141_silently(self):
+        # The reader takes one record and closes the pipe, as `| head -1`
+        # does; the sweep's megabytes of records cannot all fit the pipe.
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import eventorsion
+
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "eventorsion", "sweep", "30", "30", "15"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+            cwd=Path(eventorsion.__file__).resolve().parents[1],
+        )
+        assert CorpusRecord.from_line(proc.stdout.readline())
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+        assert (proc.returncode, err) == (EXIT_PIPE, "")
 
 
 class TestSampleCommand:

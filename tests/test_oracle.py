@@ -42,6 +42,19 @@ PINNED = [
     ((-366, 30, -15), "Z12"),
 ]
 
+# The canonical generator of each PINNED curve's group: its first sorted
+# element whose order is the group's order.
+PINNED_GENERATORS = {
+    (3, 2, 2): Point(-1, -2),
+    (3, 2, 3): Point(-3, -6),
+    (5, 2, 3): Point(0, 0),
+    (23, 8, 7): Point(-27, -108),
+    (59, 24, 6): Point(25, -300),
+    (95, 32, 10): Point(-135, -1080),
+    (1, 1, 2): Point(0, 0),
+    (-366, 30, -15): Point(96, -2880),
+}
+
 
 def _points_mod_p(c: CurveMND, p: int) -> int:
     """#E(F_p) by direct search over F_p x F_p, plus the point at infinity."""
@@ -56,10 +69,18 @@ def _points_mod_p(c: CurveMND, p: int) -> int:
 SAMPLE_BOUNDS = {"I": 3, "II": 2, "III": 3, "IV": 25, "V": 9}
 
 
+def _unbounded(c: CurveMND) -> TorsionGroup:
+    """torsion_group(c) with no usable reduction prime, so g = 0, the
+    weakest bound, and every torsion condition is solved."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracle, "_REDUCTION_PRIMES", ())
+        return torsion_group(c)
+
+
 def _assert_paths_agree(curves):
     for c in curves:
         group = torsion_group(c)
-        assert torsion_group(c, weak_bound=True) == group, c
+        assert _unbounded(c) == group, c
         assert reduction_bound(c) % group.order == 0, c
 
 
@@ -108,6 +129,13 @@ class TestTorsionGroup:
         g = torsion_group(CurveMND(*triple))
         assert g.structure == structure
         assert g.order == int(structure[1:])
+
+    @pytest.mark.parametrize("triple", PINNED_GENERATORS)
+    def test_pinned_generators(self, triple):
+        c = CurveMND(*triple)
+        want = PINNED_GENERATORS[triple]
+        assert torsion_group(c).generator == want
+        assert _unbounded(c).generator == want
 
     @pytest.mark.parametrize("triple,structure", PINNED)
     def test_weak_bound_same_answer(self, triple, structure):
@@ -209,7 +237,20 @@ def test_oracle_factors_nothing(monkeypatch):
     monkeypatch.setattr(oracle.intmath, "factorization", refuse)
     for c in curves:
         torsion_group(c)
-        torsion_group(c, weak_bound=True)
+        _unbounded(c)
+
+
+def test_oracle_takes_no_order(monkeypatch):
+    # Each solved point has its condition's order, and the group comes from
+    # one walk of the generator's multiples, so no order is ever asked for.
+    def refuse(c, p):
+        raise AssertionError(f"order({c}, {p}) called")
+
+    monkeypatch.setattr(oracle._curve, "order", refuse)
+    for triple, structure in PINNED:
+        c = CurveMND(*triple)
+        assert torsion_group(c).structure == structure
+        assert _unbounded(c).structure == structure
 
 
 class TestReductionBound:
@@ -229,6 +270,8 @@ class TestReductionBound:
 
     def test_no_usable_prime_falls_back_to_enumeration(self, monkeypatch, enumerations):
         c = CurveMND(1, 105, 2)
+        bounded = torsion_group(c)
+        enumerations.clear()
         monkeypatch.setattr(oracle, "_REDUCTION_PRIMES", (3, 5, 7))
         assert reduction_bound(c) == 0
         group = torsion_group(c)
@@ -236,19 +279,19 @@ class TestReductionBound:
         # there to halve: the order-4, order-3 and order-5 solves run.
         assert enumerations == [c] * 3
         assert group.elements == (INFINITY, Point(0, 0))
-        assert group == torsion_group(c, weak_bound=True)
+        assert group == bounded
 
     def test_settled_curve_skips_enumeration(self, enumerations):
         assert torsion_group(C523).structure == "Z2"
         assert enumerations == []
-        assert torsion_group(C523, weak_bound=True).structure == "Z2"
+        assert _unbounded(C523).structure == "Z2"
         assert enumerations == [C523] * 3
 
     def test_z8_curve_halves_its_order_four_point(self, enumerations):
-        # weak_bound solves every condition; q = 81, and the order-4 point
-        # (9, 72) of this Z8 curve is halved, so four solves run.
+        # With g = 0 every condition is solved; q = 81, and the order-4
+        # point (9, 72) of this Z8 curve is halved, so four solves run.
         c = CurveMND(23, 8, 7)
-        assert torsion_group(c, weak_bound=True).structure == "Z8"
+        assert _unbounded(c).structure == "Z8"
         assert enumerations == [c] * 4
 
     def test_sweep_paths_agree(self):
@@ -371,6 +414,25 @@ class TestTorsionConditions:
         assert sym.same(three_torsion_coeffs(sym.curve), psi[3])
         assert sym.same(oracle.five_division_coeffs(sym.curve), psi5)
 
+    def test_no_root_has_y_zero(self, sym):
+        # Each condition's resultant with rhs is a constant times powers of
+        # q and m^2 - q = n^2*D, both nonzero on the family, so no solved
+        # root has y = 0 and every solved point has its condition's order.
+        sympy, m, q, x, x4 = sym.sympy, sym.m, sym.q, sym.x, sym.x4
+
+        def poly(coeffs):
+            return sum(a * x**k for k, a in enumerate(reversed(coeffs)))
+
+        conditions = [
+            (x**2 - q, -4 * q**2 * (q - m**2)),
+            (poly(three_torsion_coeffs(sym.curve)), -16 * q**4 * (q - m**2) ** 2),
+            (poly(oracle.five_division_coeffs(sym.curve)), 4096 * q**12 * (q - m**2) ** 6),
+            (poly(oracle.halving_coeffs(sym.curve, x4)), 16 * q**4 * (q - m**2) ** 2),
+        ]
+        for condition, want in conditions:
+            got = sympy.resultant(sympy.expand(condition), sym.rhs, x)
+            assert sympy.expand(got - want) == 0, condition
+
     def test_roots_are_torsion_x(self):
         c = CurveMND(95, 32, 10)
         assert 81 in intmath.integer_roots(oracle.five_division_coeffs(c))
@@ -395,9 +457,9 @@ class TestFullTwoTorsion:
         seen = []
         assemble = oracle._assemble
 
-        def capture(c, found):
+        def capture(c, gen, found):
             seen.append(sorted(p.x for p in found if p.y == 0))
-            return assemble(c, found)
+            return assemble(c, gen, found)
 
         monkeypatch.setattr(oracle, "_assemble", capture)
         with pytest.raises(oracle.OracleError, match="3 points of order 2"):
@@ -406,33 +468,36 @@ class TestFullTwoTorsion:
 
 
 class TestAssemble:
-    """_assemble's checks, each on a point set that violates it."""
+    """_assemble's checks, each on a generator or point set that violates it."""
+
+    Z4 = {Point(0, 0), Point(-1, 2), Point(-1, -2)}
 
     def test_no_two_torsion_point(self):
         with pytest.raises(oracle.OracleError, match="0 points of order 2"):
-            oracle._assemble(C322, {Point(-1, 2): 4, Point(-1, -2): 4})
+            oracle._assemble(C322, Point(-1, 2), {Point(-1, 2), Point(-1, -2)})
 
     def test_two_two_torsion_points(self):
         with pytest.raises(oracle.OracleError, match="2 points of order 2"):
-            oracle._assemble(C322, {Point(0, 0): 2, Point(1, 0): 2})
+            oracle._assemble(C322, Point(0, 0), {Point(0, 0), Point(1, 0)})
 
-    def test_no_element_of_full_order(self):
-        with pytest.raises(oracle.OracleError, match="no element of order 3"):
-            oracle._assemble(C322, {Point(0, 0): 2, Point(-1, 2): 4})
+    def test_infinite_order_generator(self):
+        c = CurveMND(0, 1, 2)
+        assert c.contains(Point(2, 2)) and order(c, Point(2, 2)) is None
+        with pytest.raises(oracle.OracleError, match=r"\(2, 2\) has no order up to 12"):
+            oracle._assemble(c, Point(2, 2), {Point(0, 0), Point(2, 2)})
 
-    def test_label_outside_mazur_list(self):
-        found = {Point(0, 0): 2} | {Point(x, 1): 11 for x in range(1, 10)}
-        with pytest.raises(oracle.OracleError, match="impossible torsion structure Z11"):
-            oracle._assemble(C322, found)
+    def test_label_outside_mazur_list(self, monkeypatch):
+        without_four = tuple(k for k in MAZUR_CYCLIC_ORDERS if k != 4)
+        monkeypatch.setattr(oracle, "MAZUR_CYCLIC_ORDERS", without_four)
+        with pytest.raises(oracle.OracleError, match="impossible torsion structure Z4"):
+            oracle._assemble(C322, Point(-1, 2), self.Z4)
 
     def test_not_closed_under_group_law(self):
-        found = {Point(0, 0): 2, Point(-1, 2): 4, Point(5, 7): 4}
         with pytest.raises(oracle.OracleError, match="do not form a group"):
-            oracle._assemble(C322, found)
+            oracle._assemble(C322, Point(-1, 2), self.Z4 | {Point(5, 7)})
 
     def test_enumerated_group_assembles(self):
-        found = {Point(0, 0): 2, Point(-1, 2): 4, Point(-1, -2): 4}
-        group = oracle._assemble(C322, found)
+        group = oracle._assemble(C322, Point(-1, 2), self.Z4)
         assert group == torsion_group(C322)
         assert group.generator == Point(-1, -2)
 
