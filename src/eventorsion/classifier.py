@@ -19,13 +19,15 @@ and generator x; `CASES` (tag -> class) is the only registry, and a
 TorsionClass holds only the witness that decided it (none for Z2).
 
 Each class owns both directions of its parametrization.  Backward, its
-candidate witnesses for a curve, `candidates(c)`, are taken over the signed
-divisor pairs of n/2 (ascending |first parameter|, positive first; case II
-refines case I's witness); one search serves all five checks, so the
-returned witness is reproducible.  Forward, `lattice(bound)` yields the
-(witness, D) samples that `family.sample_case` filters by the side
-conditions, `holds(d)`.  Every condition forces n even, so odd n always
-lands in Z2.
+candidate witnesses for a curve, `candidates(c)`, come in ascending order of
+the first parameter: case I solves q = (a^2 - b^2*D)^2 for a in closed form,
+case II refines case I's witness, and cases III-V scan the positive divisor
+pairs of n/2 (negating every parameter of a III-V witness keeps the curve
+and the side conditions, so a negative pair never decides); one search
+serves all five checks, so the returned witness is reproducible.  Forward,
+`lattice(bound)` yields the (witness, D) samples that `family.sample_case`
+filters by the side conditions, `holds(d)`.  Every condition forces n even,
+so odd n always lands in Z2.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from typing import ClassVar, Iterator, Optional
 from . import curve as _curve
 from . import oracle as _oracle
 from .curve import CurveMND, Point
-from .intmath import int_sqrt, is_squarefree, signed_divisor_pairs, squarefree_split
+from .intmath import divisors, int_sqrt, is_squarefree, squarefree_split
 
 # Cases I, III and IV enumerate D directly; II and V derive D from a
 # squarefree split.  The direct range 2*bound keeps small bounds productive
@@ -53,6 +55,14 @@ class InconsistencyError(RuntimeError):
 
 class NonSquareYError(InconsistencyError):
     """A generator x-coordinate produced a non-square y^2 on the curve."""
+
+
+def _divisor_pairs(n: int) -> Iterator[tuple[int, int]]:
+    """(d, (n/2)/d) for each positive divisor d of n/2, ascending; n is
+    even and nonzero."""
+    half = n // 2
+    for d in divisors(half):
+        yield d, half // d
 
 
 def _squarefree_ds(bound: int) -> list[int]:
@@ -95,10 +105,18 @@ class WitnessI(Witness, tag="I", order=4, exact=False):
 
     @classmethod
     def candidates(cls, c: CurveMND) -> Iterator[WitnessI]:
-        """Divisor pairs (a, b) of n/2 with a^2 + b^2*D = m."""
-        for a, b in signed_divisor_pairs(c.n // 2):
-            if a * a + b * b * c.D == c.m:
-                yield cls(a, b)
+        """(a, (n/2)/a) for each distinct positive a dividing n/2 with
+        a^2 = (m +- r)/2, ascending, where r^2 = q: a witness makes
+        q = (a^2 - b^2*D)^2, so m +- r = 2a^2 for one sign.  Factors
+        nothing; an odd m +- r is left to the search's (m, n) check."""
+        r = int_sqrt(c.q)
+        if r is None:
+            return
+        half = c.n // 2
+        roots = {int_sqrt((c.m + r) // 2), int_sqrt((c.m - r) // 2)}
+        for a in sorted(a for a in roots if a):  # drops None and 0
+            if half % a == 0:
+                yield cls(a, half // a)
 
     def holds(self, d: int) -> bool:
         return self.a * self.b != 0 and math.gcd(self.a, self.b) == 1
@@ -160,9 +178,9 @@ class WitnessIII(Witness, tag="III", order=6, exact=False):
 
     @classmethod
     def candidates(cls, c: CurveMND) -> Iterator[WitnessIII]:
-        """Divisor pairs (b, k) of n/2 with k = a + c, an exact
+        """Positive divisor pairs (b, k) of n/2 with k = a + c, an exact
         a = (k^2 + b^2*D) / (2k), and m = a(2k - a) + b^2*D."""
-        for b, k in signed_divisor_pairs(c.n // 2):
+        for b, k in _divisor_pairs(c.n):
             b2d = b * b * c.D
             a, rem = divmod(k * k + b2d, 2 * k)
             if not rem and a * (2 * k - a) + b2d == c.m:
@@ -203,9 +221,9 @@ class WitnessIV(Witness, tag="IV", order=12):
 
     @classmethod
     def candidates(cls, c: CurveMND) -> Iterator[WitnessIV]:
-        """Divisor pairs (v, w) of n/2 with u^2 = v^2 + w^2*D - m a positive
-        square."""
-        for v, w in signed_divisor_pairs(c.n // 2):
+        """Positive divisor pairs (v, w) of n/2 with u^2 = v^2 + w^2*D - m
+        a positive square."""
+        for v, w in _divisor_pairs(c.n):
             u = int_sqrt(v * v + w * w * c.D - c.m)
             if u:
                 yield cls(u, v, w)
@@ -234,10 +252,10 @@ class WitnessV(Witness, tag="V", order=10):
 
     @classmethod
     def candidates(cls, c: CurveMND) -> Iterator[WitnessV]:
-        """Divisor pairs (s, t) of n/2; eliminating v gives
+        """Positive divisor pairs (s, t) of n/2; eliminating v gives
         u^2 = t^2*D + s^2 - m, then v^2 = 2s^2 + 2su - m, each a positive
         square, with both signs of u and v tried."""
-        for s, t in signed_divisor_pairs(c.n // 2):
+        for s, t in _divisor_pairs(c.n):
             u0 = int_sqrt(t * t * c.D + s * s - c.m)
             if not u0:
                 continue

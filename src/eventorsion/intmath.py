@@ -274,6 +274,9 @@ def is_squarefree(x: int) -> bool:
     return squarefree_split(x).square_part == 1
 
 
+# One entry: cases III, V and IV ask for the same n/2 in turn, and
+# consecutive sweep curves share n.
+@lru_cache(maxsize=1)
 def divisors(x: int) -> tuple[int, ...]:
     """Positive divisors of |x| != 0 in ascending order."""
     vals = [1]
@@ -281,16 +284,3 @@ def divisors(x: int) -> tuple[int, ...]:
         vals = [v * p**k for v in vals for k in range(e + 1)]
     return tuple(sorted(vals))
 
-
-def signed_divisor_pairs(x: int) -> Iterator[tuple[int, int]]:
-    """Every ordered pair (p, q) with p*q == x, both signs included.
-
-    Deterministic order: ascending |p|, positive p before negative p.
-    Yields exactly 2*tau(|x|) pairs.
-    """
-    if x == 0:
-        raise ValueError("0 has no divisor pairs")
-    for d in divisors(x):
-        q = x // d
-        yield d, q
-        yield -d, -q

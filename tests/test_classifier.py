@@ -1,11 +1,15 @@
 from collections import Counter
 from dataclasses import fields, replace
 from itertools import product
+from math import gcd, prod
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eventorsion import classifier as classifier_module
 from eventorsion import curve as curve_module
+from eventorsion import intmath
 from eventorsion.classifier import (
     CASES,
     NonSquareYError,
@@ -39,6 +43,8 @@ C523 = CurveMND(5, 2, 3)
 C2387 = CurveMND(23, 8, 7)
 C59246 = CurveMND(59, 24, 6)
 C953210 = CurveMND(95, 32, 10)
+# Z2, with n/2 the product of the first 20 odd primes: 2^20 divisors.
+ODD_PRIMORIAL_20 = prod(p for p in range(3, 74) if all(p % q for q in range(2, p)))
 
 
 class TestCaseI:
@@ -60,6 +66,24 @@ class TestCaseI:
     def test_canonical_sign(self):
         w = check_case_i(Z12_CURVE)
         assert w is not None and w.a > 0
+
+    def test_factors_nothing(self, monkeypatch):
+        # Case I is solved in closed form and case II refines its witness,
+        # so neither lists a divisor of n/2.
+        z2 = CurveMND(5, 2 * ODD_PRIMORIAL_20, 3)
+
+        def refuse(x):
+            raise AssertionError(f"factorization({x}) called")
+
+        monkeypatch.setattr(intmath, "factorization", refuse)
+        for c, w1, w2 in (
+            (C322, WitnessI(1, 1), None),
+            (C2387, WitnessI(4, 1), WitnessII(2, 1, 1)),
+            (Z12_CURVE, WitnessI(3, 5), None),
+        ):
+            assert check_case_i(c) == w1, c
+            assert check_case_ii(c, w1) == w2, c
+        assert check_case_i(z2) is None
 
 
 class TestCaseII:
@@ -109,6 +133,115 @@ class TestCaseV:
     def test_523_absent(self):
         # u^2 = 3 + 1 - 5 < 0 for every divisor pair
         assert check_case_v(C523) is None
+
+
+def _signed_pairs(half):
+    """Every (p, q) with p*q == half: ascending |p|, positive p first."""
+    for d in intmath.divisors(half):
+        yield d, half // d
+        yield -d, -(half // d)
+
+
+def _reference_candidates_v(c):
+    for s, t in _signed_pairs(c.n // 2):
+        u0 = intmath.int_sqrt(t * t * c.D + s * s - c.m)
+        if not u0:
+            continue
+        for u in (u0, -u0):
+            v0 = intmath.int_sqrt(2 * s * s + 2 * s * u - c.m)
+            if v0:
+                yield WitnessV(s, t, u, v0)
+                yield WitnessV(s, t, u, -v0)
+
+
+def _reference_candidates_iii(c):
+    for b, k in _signed_pairs(c.n // 2):
+        b2d = b * b * c.D
+        a, rem = divmod(k * k + b2d, 2 * k)
+        if not rem and a * (2 * k - a) + b2d == c.m:
+            yield WitnessIII(a, b, k - a)
+
+
+# The scan over every signed divisor pair of n/2 that cases I, III, IV and V
+# ran before case I got its closed form and III-V their positive-only scan.
+REFERENCE_CANDIDATES = {
+    "I": lambda c: (
+        WitnessI(a, b) for a, b in _signed_pairs(c.n // 2) if a * a + b * b * c.D == c.m
+    ),
+    "III": _reference_candidates_iii,
+    "IV": lambda c: (
+        WitnessIV(u, v, w)
+        for v, w in _signed_pairs(c.n // 2)
+        if (u := intmath.int_sqrt(v * v + w * w * c.D - c.m))
+    ),
+    "V": _reference_candidates_v,
+}
+SCANNED_CHECKS = {"I": check_case_i, "III": check_case_iii, "IV": check_case_iv, "V": check_case_v}
+
+
+def _reference_witness(tag, c):
+    if c.n % 2:
+        return None
+    for w in REFERENCE_CANDIDATES[tag](c):
+        if w.holds(c.D) and w.curve_mn(c.D) == (c.m, c.n):
+            return w
+    return None
+
+
+# (witness, D) of cases I, III, IV and V with small parameters.  Case IV's
+# lattice holds its only two witnesses up to bound 25 (`sample IV 25`), so
+# they are listed instead.
+PLANTED = [
+    (w, d)
+    for tag, bound in (("I", 6), ("III", 6), ("V", 30))
+    for w, d in CASES[tag].lattice(bound)
+    if w.holds(d)
+] + [(Z12_WITNESS_IV, Z12_CURVE.D), (WitnessIV(21, 20, 2), -5)]
+SMALL_DS = (-15, -7, -6, -3, -2, -1, 2, 3, 5, 6, 7, 10, 15)
+
+
+class TestReferenceScan:
+    """Cases I and III-V return the witness the signed scan returns first."""
+
+    @staticmethod
+    def assert_same(m, n, d):
+        try:
+            c = CurveMND(m, n, d)
+        except InvalidCurveError:
+            return
+        for tag, check in SCANNED_CHECKS.items():
+            assert check(c) == _reference_witness(tag, c), (tag, c)
+
+    def test_planted_kinds_present(self):
+        assert {w.tag for w, _ in PLANTED} == set(SCANNED_CHECKS)
+
+    @settings(max_examples=300)
+    @given(
+        st.integers(-200, 200),
+        st.integers(-120, 120).filter(bool),
+        st.sampled_from(SMALL_DS),
+    )
+    def test_random_small(self, m, n, d):
+        self.assert_same(m, n, d)
+
+    @settings(max_examples=300)
+    @given(st.sampled_from(PLANTED), st.sampled_from((1, -1)))
+    def test_planted(self, planted, sign):
+        # sign -1 builds the unnormalized curve with negative n/2.
+        w, d = planted
+        m, n = w.curve_mn(d)
+        self.assert_same(m, sign * n, d)
+
+    @given(
+        st.integers(1, 10**6),
+        st.integers(1, 10**6),
+        st.sampled_from(SMALL_DS),
+        st.sampled_from((1, -1)),
+    )
+    def test_planted_case_i_large(self, a, b, d, sign):
+        g = gcd(a, b)
+        m, n = WitnessI(a // g, b // g).curve_mn(d)
+        self.assert_same(m, sign * n, d)
 
 
 class TestHolds:
