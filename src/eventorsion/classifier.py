@@ -22,12 +22,12 @@ Each class owns both directions of its parametrization.  Backward, its
 candidate witnesses for a curve, `candidates(c)`, come in ascending order of
 the first parameter: case I solves q = (a^2 - b^2*D)^2 for a in closed form,
 case II refines case I's witness, and cases III-V scan the positive divisor
-pairs of n/2 (negating every parameter of a III-V witness keeps the curve
-and the side conditions, so a negative pair never decides); one search
-serves all five checks, so the returned witness is reproducible.  Forward,
-`lattice(bound)` yields the (witness, D) samples that `family.sample_case`
-filters by the side conditions, `holds(d)`.  Every condition forces n even,
-so odd n always lands in Z2.
+pairs of n/2, cached for the last n (negating every parameter of a III-V
+witness keeps the curve and the side conditions, so a negative pair never
+decides); one search serves all five checks, so the returned witness is
+reproducible.  Forward, `lattice(bound)` yields the (witness, D) samples
+that `family.sample_case` filters by the side conditions, `holds(d)`.
+Every condition forces n even, so odd n always lands in Z2.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, fields
+from functools import lru_cache
 from typing import ClassVar, Iterator, Optional
 
 from . import curve as _curve
@@ -57,12 +58,13 @@ class NonSquareYError(InconsistencyError):
     """A generator x-coordinate produced a non-square y^2 on the curve."""
 
 
-def _divisor_pairs(n: int) -> Iterator[tuple[int, int]]:
-    """(d, (n/2)/d) for each positive divisor d of n/2, ascending; n is
-    even and nonzero."""
+@lru_cache(maxsize=1)
+def _divisor_pairs(n: int) -> tuple[tuple[int, int], ...]:
+    """(d, (n/2)/d) for each positive divisor d of n/2, ascending; n is even
+    and nonzero.  One entry: cases III, V and IV scan the same n in turn,
+    and consecutive sweep curves share n."""
     half = n // 2
-    for d in divisors(half):
-        yield d, half // d
+    return tuple((d, half // d) for d in divisors(half))
 
 
 def _squarefree_ds(bound: int) -> list[int]:

@@ -191,7 +191,7 @@ def normalize(m: int, n: int, d_raw: int) -> CurveMND:
         raise InvalidCurveError("n must be nonzero")
     if d_raw == 0:
         raise InvalidCurveError("D must be nonzero")
-    if intmath.int_sqrt(n * n * d_raw) is not None:
+    if intmath.int_sqrt(d_raw) is not None:
         raise InvalidCurveError(
             f"n^2*D = {n * n * d_raw} is a perfect square: the quadratic "
             "factor is reducible (full rational 2-torsion, outside this family)"
@@ -241,8 +241,7 @@ def from_general(cubic: GeneralCubic) -> CurveMND | NonCyclicReport:
         b4 *= 16
     m = b2 // 2
     s = m * m - b4  # n^2 * D; nonzero and nonsquare when the root was unique
-    n, d0 = intmath.squarefree_split(s)
-    return normalize(m, n, d0)
+    return normalize(m, 1, s)
 
 
 def _require_on_curve(c: CurveMND, point: Point) -> None:

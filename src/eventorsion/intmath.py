@@ -5,8 +5,9 @@ Everything runs on Python's arbitrary-precision integers (and Fraction for
 the one rational helper); no floating point is used anywhere in the package.
 
 `integer_roots` solves a squarefree polynomial of any degree p-adically
-(Hensel lifting from a prime at which every root is simple) and factors
-nothing.
+(Hensel lifting from a prime at which every root is simple), factors
+nothing, and raises ValueError on a non-squarefree one after a number of
+bad primes bounded by the bit lengths of its coefficients.
 
 Factoring divides out the primes below 1000, proves larger cofactors prime
 with deterministic Miller-Rabin and splits composite ones with Brent's
@@ -107,10 +108,10 @@ def integer_roots(coeffs: Sequence[int]) -> list[int]:
     coefficient and at which every root mod p is simple; each root mod p is
     Newton-lifted until p^k exceeds twice the Cauchy bound on |root|, and
     the symmetric residue is kept when it is an exact root.  A prime fails
-    only if it divides lead*disc(f), which by Mahler's bound
-    |disc(f)| <= d^d * |f|_2^(2d-2) has fewer than the bit length of
-    lead * d^d * |f|_2^(2d-2) prime factors; past that many failures f is
-    not squarefree and ValueError is raised.
+    only if it divides lead*disc(f), and by Mahler's bound
+    |disc(f)| <= d^d * |f|_2^(2d-2) that has fewer prime factors than
+    bits(lead) + d*bits(d) + (d-1)*bits(|f|_2^2), bit lengths summed; past
+    that many failures f is not squarefree and ValueError is raised.
     """
     f = list(coeffs)
     while f and f[0] == 0:
@@ -128,7 +129,8 @@ def integer_roots(coeffs: Sequence[int]) -> list[int]:
     lead = f[0]
     bound = 1 + max(abs(a) for a in f[1:]) // abs(lead)
     deriv = [a * (d - i) for i, a in enumerate(f[:-1])]
-    max_failures = (abs(lead) * d**d * sum(a * a for a in f) ** (d - 1)).bit_length()
+    norm2 = sum(a * a for a in f)
+    max_failures = abs(lead).bit_length() + d * d.bit_length() + (d - 1) * norm2.bit_length()
     failures = 0
     for p in _primes():
         residues = []
@@ -274,9 +276,6 @@ def is_squarefree(x: int) -> bool:
     return squarefree_split(x).square_part == 1
 
 
-# One entry: cases III, V and IV ask for the same n/2 in turn, and
-# consecutive sweep curves share n.
-@lru_cache(maxsize=1)
 def divisors(x: int) -> tuple[int, ...]:
     """Positive divisors of |x| != 0 in ascending order."""
     vals = [1]

