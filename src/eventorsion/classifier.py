@@ -92,8 +92,7 @@ class Witness:
         squarefree D != 1 in |D| <= 2*bound."""
         ds = _squarefree_ds(bound)
         # Case I: sign flips of (a, b) only swap conjugates or negate n: same
-        # curve.  Case IV: only u^2, v^2, w^2 enter the constraint and the curve,
-        # so positive representatives suffice.
+        # curve.
         for params in itertools.product(range(1, bound + 1), repeat=len(fields(cls))):
             witness = cls(*params)
             for d in ds:
@@ -229,6 +228,24 @@ class WitnessIV(Witness, tag="IV", order=12):
             u = int_sqrt(v * v + w * w * c.D - c.m)
             if u:
                 yield cls(u, v, w)
+
+    @classmethod
+    def lattice(cls, bound: int) -> Iterator[tuple[WitnessIV, int]]:
+        """(u, v, w) in 1..bound with each squarefree D != 1 in
+        |D| <= 2*bound that divides v^6 (3v^2 - 4u^2), in the base class's
+        order.  That is the quartic's constant term as a polynomial in D,
+        nonzero since 3v^2 = 4u^2 has no solution, so every integer root D
+        divides it."""
+        # Only u^2, v^2, w^2 enter the constraint and the curve, so positive
+        # representatives suffice.
+        ds = _squarefree_ds(bound)
+        for u, v in itertools.product(range(1, bound + 1), repeat=2):
+            constant = v**6 * (3 * v * v - 4 * u * u)
+            roots = [d for d in ds if constant % d == 0]
+            for w in range(1, bound + 1):
+                witness = cls(u, v, w)
+                for d in roots:
+                    yield witness, d
 
     def holds(self, d: int) -> bool:
         u2, v2, w2d = self.u**2, self.v**2, self.w**2 * d

@@ -9,10 +9,14 @@ the one rational helper); no floating point is used anywhere in the package.
 nothing, and raises ValueError on a non-squarefree one after a number of
 bad primes bounded by the bit lengths of its coefficients.
 
-Factoring divides out the primes below 1000, proves larger cofactors prime
-with deterministic Miller-Rabin and splits composite ones with Brent's
-variant of Pollard rho.  Results are exact.  Two kinds of cofactor are out
-of reach and raise FactoringLimitError instead of a guess or a stall: a
+Factoring divides out the primes below 1000, screening each chunk of them
+with one gcd, proves larger cofactors prime with deterministic Miller-Rabin
+on as many prime bases as the cofactor's size needs (the proven thresholds
+of OEIS A014233) and splits composite ones with Brent's variant of Pollard
+rho.  `squarefree_split` factors no cofactor below 1009^3: with the primes
+below 1000 out, such a cofactor is 1, p, p^2 or pq, and its square part is
+read off `int_sqrt`.  Results are exact.  Two kinds of cofactor are out of
+reach and raise FactoringLimitError instead of a guess or a stall: a
 probable prime at or above 3.3*10^24, where the Miller-Rabin bases are no
 longer proven, and a composite that rho cannot split within its fixed step
 budget, which happens when its smallest prime factor is beyond ~10^15.
@@ -46,13 +50,42 @@ def _sieve(limit: int) -> tuple[int, ...]:
 
 
 _SMALL_PRIMES = _sieve(1000)
+# Trial division takes the primes below 1000 in chunks of 12 and divides by a
+# chunk's primes only when one gcd with their product says one of them
+# divides.
+_TRIAL_CHUNKS = tuple(
+    (_SMALL_PRIMES[i : i + 12], math.prod(_SMALL_PRIMES[i : i + 12]))
+    for i in range(0, len(_SMALL_PRIMES), 12)
+)
 # With every prime below 1000 divided out, a composite cofactor is at least
-# 1009**2, so a cofactor below this bound is prime.
+# 1009**2, so a cofactor below this bound is prime, and one below
+# _TWO_PRIMES_BELOW has at most two prime factors.
 _PRIME_BELOW = 10**6
-# Miller-Rabin with the first 13 primes as bases is correct for every n below
-# _MR_PROVEN_BOUND (Sorenson and Webster 2015).
+_TWO_PRIMES_BELOW = 1009**3
+# Miller-Rabin with the first k primes as bases is correct for every n below
+# _MR_BOUNDS[k - 1], the least strong pseudoprime to all of them (OEIS
+# A014233: Jaeschke 1993, Jiang and Deng 2014, Sorenson and Webster 2015).
+# An entry repeats where that pseudoprime also passes the next base.
 _MR_BASES = _SMALL_PRIMES[:13]
-_MR_PROVEN_BOUND = 3317044064679887385961981
+_MR_BOUNDS = (
+    2047,
+    1373653,
+    25326001,
+    3215031751,
+    2152302898747,
+    3474749660383,
+    341550071728321,
+    341550071728321,
+    3825123056546413051,
+    3825123056546413051,
+    3825123056546413051,
+    318665857834031151167461,
+    3317044064679887385961981,
+)
+# Bad primes that integer_roots rejects by their residue scan alone.  The
+# solves of small polynomials fail at fewer, and the gcd(f, f') mod p
+# pre-test that rejects the later ones would cost them more than it saves.
+_SCAN_FAILURES = 7
 # Steps x -> x*x + c mod n that Brent's rho may take on one cofactor: 2-4 s
 # of Python 3.11 on one core.  Finding a prime factor p takes ~sqrt(p) steps;
 # on 400 semiprimes the most was 8.3*sqrt(p), half the budget at p = 10^12.
@@ -99,6 +132,25 @@ def _horner(f: Sequence[int], x: int, mod: int) -> int:
     return v
 
 
+def _repeated_factor_mod(f: Sequence[int], g: Sequence[int], p: int) -> bool:
+    """gcd(f, g) mod p has positive degree, by Euclid over F_p.  f comes
+    reduced mod p, with a nonzero leading coefficient; g is reduced here."""
+    a = list(f)
+    b = [c % p for c in g]
+    while True:
+        while b and b[0] == 0:
+            del b[0]
+        if len(b) <= 1:
+            return not b and len(a) > 1
+        inv = pow(b[0], -1, p)
+        while len(a) >= len(b):
+            q = a[0] * inv % p
+            a = [(x - q * y) % p for x, y in zip(a[1:], b[1:])] + a[len(b) :]
+            while a and a[0] == 0:
+                del a[0]
+        a, b = b, a
+
+
 def integer_roots(coeffs: Sequence[int]) -> list[int]:
     """Ascending distinct integer roots of the squarefree polynomial
     coeffs[0]*x^d + coeffs[1]*x^(d-1) + ... + coeffs[d].
@@ -111,7 +163,9 @@ def integer_roots(coeffs: Sequence[int]) -> list[int]:
     only if it divides lead*disc(f), and by Mahler's bound
     |disc(f)| <= d^d * |f|_2^(2d-2) that has fewer prime factors than
     bits(lead) + d*bits(d) + (d-1)*bits(|f|_2^2), bit lengths summed; past
-    that many failures f is not squarefree and ValueError is raised.
+    that many failures f is not squarefree and ValueError is raised.  Once
+    _SCAN_FAILURES primes have failed, a prime at which gcd(f, f') mod p is
+    non-constant, so that p divides disc(f), fails before its residue scan.
     """
     f = list(coeffs)
     while f and f[0] == 0:
@@ -136,13 +190,14 @@ def integer_roots(coeffs: Sequence[int]) -> list[int]:
         residues = []
         if lead % p:
             fp = [a % p for a in f]
-            for r in range(p):
-                if _horner(fp, r, p) == 0:
-                    if _horner(deriv, r, p) == 0:
-                        break
-                    residues.append(r)
-            else:
-                break
+            if failures < _SCAN_FAILURES or not _repeated_factor_mod(fp, deriv, p):
+                for r in range(p):
+                    if _horner(fp, r, p) == 0:
+                        if _horner(deriv, r, p) == 0:
+                            break
+                        residues.append(r)
+                else:
+                    break
         failures += 1
         if failures > max_failures:
             raise ValueError(f"{list(coeffs)} is not squarefree")
@@ -163,28 +218,29 @@ def integer_roots(coeffs: Sequence[int]) -> list[int]:
 def _is_prime(n: int) -> bool:
     """Primality of an odd n >= _PRIME_BELOW with no prime factor below 1000.
 
-    Raises FactoringLimitError for a probable prime at or above
-    _MR_PROVEN_BOUND, where passing every base proves nothing.
+    Tries the prime bases in ascending order and stops after the k-th once
+    n < _MR_BOUNDS[k - 1], below which passing the first k bases proves n
+    prime.  Raises FactoringLimitError for a probable prime at or above the
+    last bound, where passing every base proves nothing.
     """
     d = n - 1
     s = (d & -d).bit_length() - 1
     d >>= s
-    for a in _MR_BASES:
+    for a, bound in zip(_MR_BASES, _MR_BOUNDS):
         x = pow(a, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    if n >= _MR_PROVEN_BOUND:
-        raise FactoringLimitError(
-            f"cannot prove {n} prime: Miller-Rabin is proven only below "
-            f"{_MR_PROVEN_BOUND}"
-        )
-    return True
+        if x != 1 and x != n - 1:
+            for _ in range(s - 1):
+                x = x * x % n
+                if x == n - 1:
+                    break
+            else:
+                return False
+        if n < bound:
+            return True
+    raise FactoringLimitError(
+        f"cannot prove {n} prime: Miller-Rabin is proven only below "
+        f"{_MR_BOUNDS[-1]}"
+    )
 
 
 def _proper_divisor(n: int) -> int:
@@ -228,6 +284,33 @@ def _proper_divisor(n: int) -> int:
             return g
 
 
+def _trial_divide(x: int) -> tuple[list[tuple[int, int]], int]:
+    """((p, e), ...) over the primes p < 1000 dividing x != 0, ascending, and
+    the cofactor of |x| they leave: 1, a prime below _PRIME_BELOW, or a
+    number with no prime factor below 1000."""
+    if x == 0:
+        raise ValueError("cannot factor 0")
+    a = abs(x)
+    found = []
+    for chunk, product in _TRIAL_CHUNKS:
+        if chunk[0] * chunk[0] > a:
+            break
+        g = math.gcd(a, product)
+        if g == 1:
+            continue
+        for p in chunk:
+            if g % p == 0:
+                e = 0
+                while a % p == 0:
+                    a //= p
+                    e += 1
+                found.append((p, e))
+                g //= p
+                if g == 1:
+                    break
+    return found, a
+
+
 @lru_cache(maxsize=1 << 15)
 def factorization(x: int) -> tuple[tuple[int, int], ...]:
     """Prime factorization of |x| as ((p, e), ...) with ascending p.  x != 0.
@@ -237,19 +320,8 @@ def factorization(x: int) -> tuple[tuple[int, int], ...]:
     FactoringLimitError for a cofactor out of reach (see the module
     docstring); never returns a factor that is not proven prime.
     """
-    if x == 0:
-        raise ValueError("cannot factor 0")
-    a = abs(x)
-    exps: dict[int, int] = {}
-    for p in _SMALL_PRIMES:
-        if p * p > a:
-            break
-        if a % p == 0:
-            e = 0
-            while a % p == 0:
-                a //= p
-                e += 1
-            exps[p] = e
+    found, a = _trial_divide(x)
+    exps = dict(found)
     stack = [a] if a > 1 else []
     while stack:
         c = stack.pop()
@@ -262,9 +334,23 @@ def factorization(x: int) -> tuple[tuple[int, int], ...]:
 
 
 def squarefree_split(x: int) -> SquarefreeSplit:
-    """Split x != 0 as d*d * s with s squarefree, returning (d, s)."""
+    """Split x != 0 as d*d * s with s squarefree, returning (d, s).
+
+    Once the primes below 1000 are divided out, a cofactor below 1009^3 is
+    1, p, p^2 or pq, so its square part is its integer square root or 1
+    and it is never factored; a larger cofactor goes to `factorization`.
+    """
+    found, a = _trial_divide(x)
     d = s = 1
-    for p, e in factorization(x):
+    if a < _TWO_PRIMES_BELOW:
+        r = int_sqrt(a)
+        if r is None:
+            s = a
+        else:
+            d = r
+    else:
+        found += factorization(a)
+    for p, e in found:
         d *= p ** (e // 2)
         if e % 2:
             s *= p

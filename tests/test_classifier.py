@@ -122,6 +122,22 @@ class TestCaseIV:
     def test_z12_regression(self):
         assert check_case_iv(Z12_CURVE) == Z12_WITNESS_IV
 
+    def test_lattice_keeps_every_root(self):
+        # The lattice drops each D that does not divide the quartic's
+        # constant term; every (u, v, w, D) with w <= 2 at which the quartic
+        # holds, both planted witnesses among them, must survive.
+        bound = 25
+        kept = set(WitnessIV.lattice(bound))
+        held = [
+            (WitnessIV(u, v, w), d)
+            for u, v, w in product(range(1, bound + 1), range(1, bound + 1), (1, 2))
+            for d in classifier_module._squarefree_ds(bound)
+            if WitnessIV(u, v, w).holds(d)
+        ]
+        assert (Z12_WITNESS_IV, Z12_CURVE.D) in held
+        assert (WitnessIV(21, 20, 2), -5) in held
+        assert all(t in kept for t in held)
+
 
 class TestCaseV:
     def test_953210(self):

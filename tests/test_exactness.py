@@ -1,0 +1,65 @@
+"""The package computes exactly: no float enters src/eventorsion.
+
+Walks the syntax tree of every module and fails on a float literal (which
+also covers `** 0.5`), a call to `float`, or math's floating-point roots,
+logarithms and exponentials.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "eventorsion"
+MODULES = sorted(SRC.glob("*.py"))
+FLOAT_MATH = ("sqrt", "exp", "log")
+
+
+def float_uses(tree: ast.AST) -> list[tuple[int, str]]:
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)):
+            found.append((node.lineno, f"float literal {node.value!r}"))
+        elif isinstance(node, ast.Name) and node.id == "float":
+            found.append((node.lineno, "float"))
+        elif (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "math"
+            and node.attr.startswith(FLOAT_MATH)
+        ):
+            found.append((node.lineno, f"math.{node.attr}"))
+        elif isinstance(node, ast.ImportFrom) and node.module == "math":
+            found += [
+                (node.lineno, f"from math import {a.name}")
+                for a in node.names
+                if a.name.startswith(FLOAT_MATH)
+            ]
+    return found
+
+
+def test_modules_found():
+    assert SRC / "intmath.py" in MODULES
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_floats(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    assert float_uses(tree) == [], path.name
+
+
+@pytest.mark.parametrize(
+    "source",
+    ["x = 0.5", "y = x ** 0.5", "float(x)", "math.sqrt(x)", "math.log2(x)",
+     "math.exp(x)", "from math import log10", "z = 1j"],
+)
+def test_detects(source):
+    assert float_uses(ast.parse(source))
+
+
+@pytest.mark.parametrize(
+    "source",
+    ["math.isqrt(x)", "math.gcd(a, b)", "Fraction(1, 2)", "x // 2", "x ** 2", "s = 'sqrt'"],
+)
+def test_allows_exact(source):
+    assert not float_uses(ast.parse(source))

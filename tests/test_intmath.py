@@ -32,6 +32,55 @@ def brute_squarefree(x: int) -> bool:
     return True
 
 
+def next_prime(x: int) -> int:
+    """Least prime >= x, by trial division."""
+    while x < 2 or any(x % p == 0 for p in range(2, math.isqrt(x) + 1)):
+        x += 1
+    return x
+
+
+def split_from_factorization(x: int) -> tuple[int, int]:
+    d = s = 1
+    for p, e in factorization(x):
+        d *= p ** (e // 2)
+        s *= p ** (e % 2)
+    return d, s if x > 0 else -s
+
+
+def strong_probable_prime(n: int, a: int) -> bool:
+    """n passes the strong (Miller-Rabin) test to base a."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    x = pow(a, d, n)
+    if x in (1, n - 1):
+        return True
+    for _ in range(s - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
+# psi_k, the least odd composite that passes the strong test to each of the
+# first k prime bases (OEIS A014233), with its prime factors.
+PSI = [
+    (1, 2047, (23, 89)),
+    (2, 1373653, (829, 1657)),
+    (3, 25326001, (2251, 11251)),
+    (4, 3215031751, (151, 751, 28351)),
+    (5, 2152302898747, (6763, 10627, 29947)),
+    (6, 3474749660383, (1303, 16927, 157543)),
+    (7, 341550071728321, (10670053, 32010157)),
+    (8, 341550071728321, (10670053, 32010157)),
+    (9, 3825123056546413051, (149491, 747451, 34233211)),
+    (10, 3825123056546413051, (149491, 747451, 34233211)),
+    (11, 3825123056546413051, (149491, 747451, 34233211)),
+    (12, 318665857834031151167461, (399165290221, 798330580441)),
+    (13, 3317044064679887385961981, (1287836182261, 2575672364521)),
+]
+
+
 class TestIntSqrt:
     def test_zero(self):
         assert int_sqrt(0) == 0
@@ -66,7 +115,21 @@ class TestIntSqrt:
 class TestSquarefreeSplit:
     @pytest.mark.parametrize(
         "x,expected",
-        [(8, (2, 2)), (-12, (2, -3)), (7, (1, 7)), (1, (1, 1)), (-1, (1, -1)), (360, (6, 10))],
+        [
+            (8, (2, 2)),
+            (-12, (2, -3)),
+            (7, (1, 7)),
+            (1, (1, 1)),
+            (-1, (1, -1)),
+            (360, (6, 10)),
+            # Cofactors past the primes below 1000: below 1009^3 they are
+            # split by int_sqrt alone, from 1009^3 on by factorization.
+            (1009 * 1013, (1, 1009 * 1013)),
+            (-(1009**2), (1009, -1)),
+            (2 * 1013**2, (1013, 2)),
+            (1009**3, (1009, 1009)),
+            (1009**2 * 1013, (1009, 1013)),
+        ],
     )
     def test_examples(self, x, expected):
         assert squarefree_split(x) == expected
@@ -81,6 +144,20 @@ class TestSquarefreeSplit:
         assert d >= 1
         assert d * d * s == x
         assert brute_squarefree(s)
+
+    @given(st.integers(min_value=-(10**12), max_value=10**12).filter(lambda x: x != 0))
+    @settings(max_examples=300)
+    def test_matches_factorization(self, x):
+        assert squarefree_split(x) == split_from_factorization(x)
+
+    @given(
+        st.integers(min_value=1009, max_value=10**9).map(next_prime),
+        st.integers(min_value=1009, max_value=10**9).map(next_prime),
+        st.sampled_from([1, -1, 2, -6]),
+    )
+    @settings(max_examples=200)
+    def test_two_large_primes_match_factorization(self, p, q, k):
+        assert squarefree_split(k * p * q) == split_from_factorization(k * p * q)
 
     def test_large_prime_square_cofactor(self):
         p = 1000003
@@ -237,6 +314,34 @@ class TestIntegerRoots:
         with pytest.raises(ValueError, match="not squarefree"):
             integer_roots(f)
 
+    def test_large_double_root_raises_quickly(self):
+        # (x - 10^60)^2 (x + 3): every prime is bad, and the double root sits
+        # at a residue the scan would reach only after ~p/2 steps; the
+        # gcd(f, f') mod p pre-test rejects each prime at once.
+        import time
+
+        f = poly_from_roots(1, [10**60, 10**60, -3])
+        start = time.monotonic()
+        with pytest.raises(ValueError, match="not squarefree"):
+            integer_roots(f)
+        assert time.monotonic() - start < 0.5
+
+    @given(
+        st.lists(st.integers(min_value=-50, max_value=50), min_size=2, max_size=7),
+        st.sampled_from([2, 3, 5, 7, 11, 13]),
+    )
+    @settings(max_examples=300)
+    def test_repeated_factor_mod_matches_sympy(self, f, p):
+        sympy = pytest.importorskip("sympy")
+        if f[0] % p == 0:
+            f[0] += 1
+        d = len(f) - 1
+        deriv = [a * (d - i) for i, a in enumerate(f[:-1])]
+        x = sympy.Symbol("x")
+        fp = sympy.Poly(f, x, modulus=p)
+        want = fp.gcd(sympy.Poly(deriv, x, modulus=p)).degree() > 0
+        assert intmath._repeated_factor_mod([a % p for a in f], deriv, p) == want
+
     def test_huge_psi5_has_no_root(self):
         # psi_5 of a curve with a 2,500-digit m: its coefficients run to
         # about 10^30000, and the bad-prime bound is read from bit lengths.
@@ -277,6 +382,20 @@ class TestFactorization:
         for x in xs:
             want = tuple(sorted(sympy.factorint(x).items()))
             assert factorization(x) == want, x
+
+    @pytest.mark.parametrize("k,psi,factors", PSI)
+    def test_miller_rabin_bounds(self, k, psi, factors):
+        # Below psi_k the first k bases prove primality; psi_k itself is the
+        # composite that passes them.
+        assert intmath._MR_BOUNDS[k - 1] == psi == math.prod(factors)
+        assert all(strong_probable_prime(psi, a) for a in intmath._SMALL_PRIMES[:k])
+        if k < 13:
+            assert factorization(psi) == tuple((p, 1) for p in factors)
+
+    def test_past_the_last_bound_raises(self):
+        psi13 = PSI[-1][1]
+        with pytest.raises(FactoringLimitError, match=f"cannot prove {psi13} prime"):
+            factorization(psi13)
 
     def test_out_of_reach_raises(self):
         import time
