@@ -18,16 +18,16 @@ Each case is one witness class carrying its tag, order, exact flag, (m, n)
 and generator x; `CASES` (tag -> class) is the only registry, and a
 TorsionClass holds only the witness that decided it (none for Z2).
 
-Each class owns both directions of its parametrization.  Backward, its
-candidate witnesses for a curve, `candidates(c)`, come in ascending order of
-the first parameter: case I solves q = (a^2 - b^2*D)^2 for a in closed form,
-case II refines case I's witness, and cases III-V scan the positive divisor
-pairs of n/2, cached for the last n (negating every parameter of a III-V
-witness keeps the curve and the side conditions, so a negative pair never
-decides); one search serves all five checks, so the returned witness is
-reproducible.  Forward, `lattice(bound)` yields the (witness, D) samples
-that `family.sample_case` filters by the side conditions, `holds(d)`.
-Every condition forces n even, so odd n always lands in Z2.
+Each class owns both directions of its parametrization.  Backward,
+`candidates(c)` lists its witnesses for a curve in ascending order of the
+first parameter: case I solves q = (a^2 - b^2*D)^2 for a in closed form,
+case II refines case I's witness, and cases III-V test one candidate per
+positive divisor pair of n/2, cached for the last n (negating a III-V
+witness keeps its curve, and a case-V witness with u or v < 0 has a
+positive twin at a smaller s); one search serves all five checks, so the
+returned witness is reproducible.  Forward, `lattice(bound)` yields the
+(witness, D) samples that `family.sample_case` filters by `holds(d)`, the
+side conditions.  Every condition forces n even, so odd n lands in Z2.
 """
 
 from __future__ import annotations
@@ -271,18 +271,17 @@ class WitnessV(Witness, tag="V", order=10):
 
     @classmethod
     def candidates(cls, c: CurveMND) -> Iterator[WitnessV]:
-        """Positive divisor pairs (s, t) of n/2; eliminating v gives
-        u^2 = t^2*D + s^2 - m, then v^2 = 2s^2 + 2su - m, each a positive
-        square, with both signs of u and v tried."""
+        """Positive divisor pairs (s, t) of n/2 with u > 0 and v > 0 the
+        roots of u^2 = t^2*D + s^2 - m and v^2 = 2s^2 + 2su - m.  Signs never
+        decide: with s > 0, 4uvs = (u-v)^2*(u+v) forces 0 < v < -u or
+        0 < u < -v; then (v, -u) or (-v, u) keeps m and q = -uv(u^2-uv-v^2),
+        a witness at s' = s*|u+v|/|u-v| < s, an integer (u = ga, v = gb,
+        gcd(a, b) = 1 give ab | g), and t' = st/s' is one as D is squarefree."""
         for s, t in _divisor_pairs(c.n):
-            u0 = int_sqrt(t * t * c.D + s * s - c.m)
-            if not u0:
-                continue
-            for u in (u0, -u0):
-                v0 = int_sqrt(2 * s * s + 2 * s * u - c.m)
-                if v0:
-                    yield cls(s, t, u, v0)
-                    yield cls(s, t, u, -v0)
+            u = int_sqrt(t * t * c.D + s * s - c.m)
+            v = int_sqrt(2 * s * s + 2 * s * u - c.m) if u else None
+            if v:
+                yield cls(s, t, u, v)
 
     @classmethod
     def lattice(cls, bound: int) -> Iterator[tuple[WitnessV, int]]:

@@ -125,11 +125,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 def cmd_sample(args: argparse.Namespace) -> int:
     samples = _family.sample_case(args.case, args.bound)
-
-    def reports():
-        for s in samples:
-            yield full_report(s.curve, with_oracle=args.oracle)
-
+    reports = (full_report(s.curve, with_oracle=args.oracle) for s in samples)
     case = CASES[args.case]
 
     def check(report) -> bool:
@@ -139,7 +135,7 @@ def cmd_sample(args: argparse.Namespace) -> int:
             return report.cls.order == case.order
         return report.cls.order % case.order == 0
 
-    return _emit_records(reports(), args, check_predicted=check)
+    return _emit_records(reports, args, check_predicted=check)
 
 
 def cmd_verify(args: argparse.Namespace) -> int:

@@ -4,8 +4,9 @@ One JSON object per line, fixed key order (m, n, D, class, witness,
 generator_x, generator_y, oracle_order, agree), every integer serialized as
 a decimal string so no consumer word size can truncate it.  A witness is
 "TAG:p1,p2,..." or null, TAG being a key of `classifier.CASES`.  Reading
-accepts exactly what writing produces: each integer must be a string in
-canonical decimal form, class a string, and agree true, false or null.
+checks the keys in this order, each integer a string in canonical decimal
+form, class a string, agree true, false or null, and the witness token of a
+known tag; `json.loads` keeps the last of repeated keys, at the first's place.
 """
 
 from __future__ import annotations
@@ -104,7 +105,7 @@ class CorpusRecord:
             payload = json.loads(line)
         except json.JSONDecodeError as exc:
             raise CorpusFormatError(f"not valid JSON: {line!r}") from exc
-        if not isinstance(payload, dict) or set(payload) != set(FIELD_ORDER):
+        if not isinstance(payload, dict) or tuple(payload) != FIELD_ORDER:
             raise CorpusFormatError(f"unexpected fields in {line!r}")
         label, agree = payload["class"], payload["agree"]
         if not isinstance(label, str) or not (agree is None or isinstance(agree, bool)):

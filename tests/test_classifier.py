@@ -150,6 +150,64 @@ class TestCaseV:
         # u^2 = 3 + 1 - 5 < 0 for every divisor pair
         assert check_case_v(C523) is None
 
+    @staticmethod
+    def positive_twin(u, v):
+        """sigma: (v, -u) when u < 0, (-v, u) when v < 0."""
+        return (v, -u) if u < 0 else (-v, u)
+
+    def test_sign_maps_keep_the_curve_symbolically(self):
+        # m and q depend only on (u, v) once s is eliminated, sigma keeps
+        # both, and it scales s by |u + v| / |u - v|.
+        sp = pytest.importorskip("sympy")
+        u, v = sp.symbols("u v")
+
+        def s_m_q(u, v):
+            s = (u - v) ** 2 * (u + v) / (4 * u * v)  # (u-v)^2 (u+v) = 4uvs
+            m = 2 * s * (s + u) - v**2
+            q = m**2 - 4 * s**2 * ((s + u) ** 2 - v**2)  # n^2 D = 4 s^2 t^2 D
+            return s, m, q
+
+        s, m, q = s_m_q(u, v)
+        assert sp.simplify(q + u * v * (u**2 - u * v - v**2)) == 0
+        maps = (((v, -u), (u + v) / (u - v)), ((-v, u), -(u + v) / (u - v)))
+        for (u2, v2), ratio in maps:
+            s2, m2, q2 = s_m_q(u2, v2)
+            assert sp.simplify(m2 - m) == 0
+            assert sp.simplify(q2 - q) == 0
+            assert sp.simplify(s2 / s - ratio) == 0
+
+    def test_negative_roots_have_a_positive_twin_first(self):
+        # Every (s > 0, t, u, v, D) with |u|, |v| <= 200 and u or v < 0.
+        seen = 0
+        for u, v in product(range(-200, 201), repeat=2):
+            if u * v == 0 or min(u, v) > 0:
+                continue
+            s, rem = divmod((u - v) ** 2 * (u + v), 4 * u * v)
+            if rem or s <= 0:
+                continue
+            t, d = intmath.squarefree_split((s + u) ** 2 - v * v)
+            if d == 1:
+                continue
+            seen += 1
+            w = WitnessV(s, t, u, v)
+            assert w.holds(d)
+            m, n = w.curve_mn(d)
+            u2, v2 = self.positive_twin(u, v)
+            s2, rem = divmod((u2 - v2) ** 2 * (u2 + v2), 4 * u2 * v2)
+            assert rem == 0 and 0 < s2 < s, w
+            t2, rem = divmod(s * t, s2)
+            assert rem == 0, w
+            twin = WitnessV(s2, t2, u2, v2)
+            assert twin.holds(d) and twin.curve_mn(d) == (m, n), w
+            try:
+                c = CurveMND(m, n, d)
+            except InvalidCurveError:
+                c = curve_module.normalize(m, n, d)
+            found = check_case_v(c)
+            assert found is not None and found.u > 0 and found.v > 0, (w, c)
+            assert found == _reference_witness("V", c), (w, c)
+        assert seen == 122
+
 
 def _signed_pairs(half):
     """Every (p, q) with p*q == half: ascending |p|, positive p first."""

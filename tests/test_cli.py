@@ -219,6 +219,15 @@ class TestSampleCommand:
         )
         assert err == "curves=2 Z8=2 disagreements=0 prediction_mismatches=0\n"
 
+    def test_text_format_without_oracle(self, capsys):
+        code, out, err = run(capsys, "sample", "II", "2", "--format", "text")
+        assert code == EXIT_OK
+        assert out == (
+            "m=-7 n=4 D=-2 class=Z8 generator=(3,12)\n"
+            "m=23 n=8 D=7 class=Z8 generator=(-3,12)\n"
+        )
+        assert err == "curves=2 Z8=2 disagreements=0 prediction_mismatches=0\n"
+
 
 class TestVerifyCommand:
     def test_verify_clean_corpus(self, tmp_path, capsys):
@@ -249,6 +258,16 @@ class TestVerifyCommand:
         code, _, err = run(capsys, "verify", str(path))
         assert code == EXIT_INVALID
         assert "verified=" not in err
+
+    def test_verify_rejects_reordered_keys(self, tmp_path, capsys):
+        path = tmp_path / "corpus.jsonl"
+        run(capsys, "classify", "3", "2", "2", "--format", "records", "--out", str(path))
+        payload = json.loads(path.read_text())
+        payload = {"n": payload.pop("n"), **payload}
+        path.write_text(json.dumps(payload) + "\n")
+        code, _, err = run(capsys, "verify", str(path))
+        assert code == EXIT_INVALID
+        assert "unexpected fields" in err and "verified=" not in err
 
     def test_verify_missing_file(self, capsys):
         code, _, _ = run(capsys, "verify", "/nonexistent/corpus.jsonl")

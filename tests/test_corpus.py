@@ -59,6 +59,12 @@ class TestCorpusRecord:
         )
         assert CorpusRecord.from_line(rec.to_line()) == rec
 
+    def test_rejects_reordered_keys(self):
+        good = json.loads(self.record().to_line())
+        swapped = dict(reversed(list(good.items())))
+        with pytest.raises(CorpusFormatError, match="unexpected fields"):
+            CorpusRecord.from_line(json.dumps(swapped))
+
     def test_rejects_garbage(self):
         with pytest.raises(CorpusFormatError):
             CorpusRecord.from_line("not json")

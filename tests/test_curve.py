@@ -119,6 +119,10 @@ class TestFromGeneral:
         with pytest.raises(SingularCurveError):
             from_general(GeneralCubic(2, 1, 0))  # double root at -1
 
+    def test_singular_has_no_j_invariant(self):
+        with pytest.raises(SingularCurveError):
+            GeneralCubic(0, 0, 0).j_invariant()  # y^2 = x^3, triple root
+
     def test_translation_needed(self):
         # y^2 = (x - 1)((x - 1)^2 + 6(x - 1) + 1): root at 1
         cubic = GeneralCubic(3, -8, 4)
@@ -230,6 +234,13 @@ class TestGroupLaw:
         with pytest.raises(TypeError):
             Point(1.5, 2)
 
+    def test_half_a_point_rejected(self):
+        with pytest.raises(ValueError):
+            Point(1, None)
+
+    def test_infinity_is_its_own_negative(self):
+        assert -INFINITY is INFINITY
+
     def test_scalar_multiples(self):
         p = Point(-1, 2)
         p2 = add(C322, p, p)
@@ -301,6 +312,10 @@ class TestQuadraticFieldSquares:
         assert is_square_quad(QuadElement(3, 0, 3)) == QuadElement(0, 1, 3)
         assert is_square_quad(QuadElement(5, 0, 3)) is None
         assert is_square_quad(QuadElement(0, 0, 3)) == QuadElement(0, 0, 3)
+
+    def test_square_d_rejected(self):
+        with pytest.raises(ValueError):
+            QuadElement(1, 1, 4)
 
     def test_negative_d(self):
         assert is_square_quad(QuadElement(-2, 0, -2)) == QuadElement(0, 1, -2)

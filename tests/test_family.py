@@ -1,6 +1,6 @@
 import pytest
 
-from eventorsion.classifier import CASES, classify, full_report
+from eventorsion.classifier import CASES, WitnessV, classify, full_report
 from eventorsion.curve import Point, normalize, order
 from eventorsion.family import sample_case
 from eventorsion.intmath import int_sqrt
@@ -71,14 +71,31 @@ class TestSampleCase:
         for s in sample_case(tag, bound):
             assert s.params.holds(s.curve.D), s
 
-    def test_normalization_rescale_keeps_prediction(self):
-        # (u, v) = (18, 6) parametrizes the same curve as (9, 3) scaled by 4;
-        # the emitted sample must be the normalized one with a rescaled x.
-        samples = sample_case("V", 18)
-        hit = [s for s in samples if (s.curve.m, s.curve.n, s.curve.D) == (95, 32, 10)]
-        assert len(hit) == 1
-        y = int_sqrt(hit[0].curve.rhs(hit[0].predicted_generator_x))
-        assert y is not None
+    @pytest.mark.parametrize("tag,bound", SAMPLE_BOUNDS)
+    def test_case_tag(self, tag, bound):
+        assert {s.case_tag for s in sample_case(tag, bound)} == {tag}
+
+    @staticmethod
+    def only_scaled_953210(monkeypatch):
+        # (u, v) = (18, 6) parametrizes (95, 32, 10) scaled by e^2 = 4:
+        # (m, n) = (380, 128) and generator x = -60.  The real lattice reaches
+        # (95, 32, 10) first with e = 1, so it is the only tuple offered.
+        lattice = classmethod(lambda cls, bound: iter([(WitnessV(8, 8, 18, 6), 10)]))
+        monkeypatch.setattr(WitnessV, "lattice", lattice)
+
+    def test_normalization_rescale_keeps_prediction(self, monkeypatch):
+        self.only_scaled_953210(monkeypatch)
+        [sample] = sample_case("V", 18)
+        assert sample.params == WitnessV(8, 8, 18, 6)
+        assert (sample.curve.m, sample.curve.n, sample.curve.D) == (95, 32, 10)
+        assert sample.predicted_generator_x == -15
+        assert int_sqrt(sample.curve.rhs(-15)) == 240
+
+    def test_generator_x_that_does_not_rescale_raises(self, monkeypatch):
+        self.only_scaled_953210(monkeypatch)
+        monkeypatch.setattr(WitnessV, "generator_x", lambda self, d: -61)
+        with pytest.raises(AssertionError, match="does not rescale by 4"):
+            sample_case("V", 18)
 
 
 class TestLargeHeight:
