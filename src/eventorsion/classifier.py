@@ -28,6 +28,17 @@ positive twin at a smaller s); one search serves all five checks, so the
 returned witness is reproducible.  Forward, `lattice(bound)` yields the
 (witness, D) samples that `family.sample_case` filters by `holds(d)`, the
 side conditions.  Every condition forces n even, so odd n lands in Z2.
+
+`classify` runs a check only when its order can occur.  Cases I, III and V
+each give a rational point of order 4, 3 or 5, and rational torsion injects
+into E(F_p) at every odd prime p of good reduction (Silverman, AEC VII.3.1),
+so that order divides the oracle's `reduction_bound` g.  Case I runs only
+when 4 | g, case III when 3 | g and case V when 5 | g; g = 0 (no usable
+prime) runs them all, and II and IV still ride on I and III.  On most curves
+g rules out 3 and 5, and then n/2 is never factored.  The `--oracle`
+cross-check shares `reduction_bound` with the classifier, so the
+acceptance sweep checks the filter against the unfiltered `case_witnesses`,
+which like the `check_case_*` functions runs every check.
 """
 
 from __future__ import annotations
@@ -387,10 +398,16 @@ def classify(c: CurveMND) -> TorsionClass:
     Decision tree: case I and case III together force Z12 (case IV is then
     asserted as a cross-check and supplies the witness); case I alone gives
     Z8 when case II refines it and Z4 otherwise; case III alone gives Z6;
-    with neither, case V gives Z10; everything else is Z2.
+    with neither, case V gives Z10; everything else is Z2.  Odd n is Z2 at
+    once, since every case forces n even; otherwise cases I, III and V run
+    only when the reduction bound g admits their point of order 4, 3 or 5
+    (g = 0 admits every order).
     """
-    w1 = check_case_i(c)
-    w3 = check_case_iii(c)
+    if c.n % 2:
+        return TorsionClass(None)
+    g = _oracle.reduction_bound(c)
+    w1 = check_case_i(c) if g % 4 == 0 else None
+    w3 = check_case_iii(c) if g % 3 == 0 else None
     if w1 is not None and w3 is not None:
         w4 = check_case_iv(c)
         if w4 is None:
@@ -405,10 +422,8 @@ def classify(c: CurveMND) -> TorsionClass:
         return TorsionClass(w1)
     if w3 is not None:
         return TorsionClass(w3)
-    w5 = check_case_v(c)
-    if w5 is not None:
-        return TorsionClass(w5)
-    return TorsionClass(None)
+    w5 = check_case_v(c) if g % 5 == 0 else None
+    return TorsionClass(w5)
 
 
 def generator(c: CurveMND, cls: TorsionClass) -> Point:
@@ -447,7 +462,8 @@ def full_report(c: CurveMND, with_oracle: bool = False) -> ClassificationReport:
 def case_witnesses(c: CurveMND) -> dict[str, Witness | None]:
     """Run all five case checks (case II on top of case I when present).
 
-    Used by consistency sweeps; classify() itself short-circuits.
+    Used by consistency sweeps; classify() itself short-circuits and skips
+    the checks the reduction bound rules out.
     """
     w1 = check_case_i(c)
     return {

@@ -3,7 +3,8 @@
 Exit codes: 0 success, 1 mismatches (verify records that no longer match,
 oracle disagreements, sample prediction mismatches), 2 invalid input,
 3 internal consistency failure, 4 factoring limit: a number the run must
-factor (D, gcd(m, n) and n/2) has a prime factor at or above 3.3*10^24,
+factor (D and gcd(m, n), and n/2 when the reduction bound admits a point of
+order 3 or 5) has a prime factor at or above 3.3*10^24,
 beyond the proven Miller-Rabin range, or a composite part with no prime
 factor below ~10^15 for Pollard rho to find within its step budget,
 141 (128 + SIGPIPE) when the reader closes standard output early.

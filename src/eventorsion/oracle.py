@@ -21,12 +21,16 @@ list and contain every point found.
 Before solving, the oracle bounds the group's order by reduction: at an
 odd prime p of good reduction, rational torsion injects into E(F_p)
 (Silverman, AEC VII.3.1 with VII.3.4), so #T divides the gcd g of #E(F_p)
-over the first six odd primes up to 47 that do not divide the discriminant.
-#E(F_p) depends only on (p, 2m mod p, q mod p), so each count is memoized
-per residue class; the cache holds at most sum(p^2) = 10,462 entries.
+over the first six odd primes up to 47 that do not divide the discriminant
+64q^2*n^2*D, that is, that do not divide q*n*D.  #E(F_p) depends only on
+(p, 2m mod p, q mod p), so each count is memoized per residue class in one
+bytearray(p*p) per prime, 0 until computed (every count is at least 2, for
+(0, 0) and the point at infinity, and at most 2p + 1 < 256): a fixed
+sum(p^2) = 10,462 bytes.
 A condition of order k is solved only when k divides g, so when g = 2 (for
 a family member, T = Z/2) nothing is solved; when no listed prime is
-usable (g = 0), every condition is solved.  Nothing here uses the
+usable (g = 0), every condition is solved.  The classifier reads the same
+bound to skip the case checks it rules out, but nothing here uses the
 classifier: the structural inputs are the integrality of torsion points,
 the group law, the injection theorem and Mazur's list of cyclic orders.
 """
@@ -35,7 +39,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable
 
 from . import curve as _curve
@@ -90,13 +93,19 @@ def discriminant(c: CurveMND) -> int:
     return 64 * q * q * c.n * c.n * c.D
 
 
-# #E(F_p) depends only on (p, a, b) with a, b residues mod p, so the cache
-# holds at most sum(p^2 for p in _REDUCTION_PRIMES) = 10,462 entries.
-@lru_cache(maxsize=None)
+# _COUNTS[p][a*p + b] is #E(F_p) for the residues a, b, or 0 until counted.
+_COUNTS = {p: bytearray(p * p) for p in _REDUCTION_PRIMES}
+
+
 def _point_count(p: int, a: int, b: int) -> int:
     """#E(F_p) = p + 1 + sum_x chi_p(x^3 + a*x^2 + b*x), for 0 <= a, b < p."""
-    chi = _CHARACTERS[p]
-    return p + 1 + sum(chi[((x + a) * x + b) * x % p] for x in range(p))
+    counts = _COUNTS[p]
+    count = counts[a * p + b]
+    if not count:
+        chi = _CHARACTERS[p]
+        count = p + 1 + sum([chi[((x + a) * x + b) * x % p] for x in range(p)])
+        counts[a * p + b] = count
+    return count
 
 
 def reduction_bound(c: CurveMND) -> int:
@@ -104,17 +113,19 @@ def reduction_bound(c: CurveMND) -> int:
 
     #E(F_p) = p + 1 + sum_x chi_p(x^3 + 2m*x^2 + q*x) depends only on
     (p, 2m mod p, q mod p), and `_point_count` memoizes it per residue class.
-    Primes dividing the discriminant are skipped; the gcd stops early at 2,
-    the least it can be since (0, 0) has order 2.  Returns 0 when no listed
-    prime is usable.
+    An odd p divides the discriminant 64q^2*n^2*D exactly when it divides
+    q*n*D, so those primes are skipped; the gcd stops early at 2, the least
+    it can be since (0, 0) has order 2.  Returns 0 when no listed prime is
+    usable.
     """
-    disc = discriminant(c)
+    m2, q = 2 * c.m, c.q
+    bad = q * c.n * c.D
     g = 0
     used = 0
     for p in _REDUCTION_PRIMES:
-        if disc % p == 0:
+        if bad % p == 0:
             continue
-        g = math.gcd(g, _point_count(p, 2 * c.m % p, c.q % p))
+        g = math.gcd(g, _point_count(p, m2 % p, q % p))
         used += 1
         if g == 2 or used == _REDUCTION_PRIME_COUNT:
             break

@@ -30,7 +30,7 @@ from eventorsion.curve import (
 )
 from eventorsion.family import sample_case, sweep_curves
 from eventorsion.intmath import int_sqrt, is_squarefree
-from eventorsion.oracle import assert_family_shape, torsion_group
+from eventorsion.oracle import assert_family_shape, reduction_bound, torsion_group
 
 SWEEP_BOUNDS = (60, 60, 30)
 Z12_BOUNDS = (500, 500, 50)
@@ -77,6 +77,16 @@ def _doubling_mismatches(c, cls, gen):
     ]
 
 
+def _tree_witness(ws):
+    """The decision tree of `classify` applied to all five case witnesses:
+    IV when I and III both hold, else II or I, else III, else V."""
+    if ws["I"] is not None and ws["III"] is not None:
+        return ws["IV"]
+    if ws["I"] is not None:
+        return ws["I"] if ws["II"] is None else ws["II"]
+    return ws["V"] if ws["III"] is None else ws["III"]
+
+
 @dataclass
 class SweepData:
     bounds: tuple
@@ -92,6 +102,7 @@ class SweepData:
     halvable_mismatches: list = field(default_factory=list)
     forbidden_x_hits: list = field(default_factory=list)
     tree_violations: list = field(default_factory=list)
+    bound_violations: list = field(default_factory=list)
 
 
 @pytest.fixture(scope="session")
@@ -142,6 +153,16 @@ def sweep() -> SweepData:
             data.tree_violations.append((key, "V alongside I or III"))
         if (ws["IV"] is not None) != (has_i and has_iii):
             data.tree_violations.append((key, "IV does not match I-and-III"))
+
+        # classify skips the checks the reduction bound rules out; the
+        # unfiltered checks must reach the same witness, and each witness
+        # found must have an order the bound admits.
+        g = reduction_bound(c)
+        if _tree_witness(ws) != cls.witness:
+            data.bound_violations.append((key, g, "unfiltered tree differs"))
+        for tag, w in ws.items():
+            if w is not None and g % w.order:
+                data.bound_violations.append((key, g, tag))
         if has_i:
             w = ws["I"]
             forbidden = -(w.a**2 - w.b**2 * c.D)
@@ -310,3 +331,12 @@ def test_decision_tree_consistency_across_sweep(sweep):
     # exactly when Z4 and Z6 witnesses coexist.
     assert not sweep.tree_violations, sweep.tree_violations
     print(f"decision-tree consistency PASS on {sweep.total} curves")
+
+
+def test_reduction_bound_filter_across_sweep(sweep):
+    # classify runs cases I, III and V only when g admits order 4, 3 or 5.
+    assert not sweep.bound_violations, sweep.bound_violations
+    print(
+        f"reduction-bound filter PASS on {sweep.total} curves: unfiltered "
+        "checks give the classifier's witness, every witness order divides g"
+    )

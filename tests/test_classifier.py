@@ -43,6 +43,8 @@ C523 = CurveMND(5, 2, 3)
 C2387 = CurveMND(23, 8, 7)
 C59246 = CurveMND(59, 24, 6)
 C953210 = CurveMND(95, 32, 10)
+# Z2, with n/2 = 3*5*...*47: every reduction prime divides n, so g = 0.
+UNBOUNDED_Z2 = CurveMND(5, 2 * 307444891294245705, 3)
 # Z2, with n/2 the product of the first 20 odd primes: 2^20 divisors.
 ODD_PRIMORIAL_20 = prod(p for p in range(3, 74) if all(p % q for q in range(2, p)))
 
@@ -283,9 +285,14 @@ class TestDivisorPairs:
             assert classifier_module._divisor_pairs(n) == brute, n
 
     def test_one_miss_per_classify(self):
-        # C523 is Z2 with even n, so cases III and V both scan n/2.
+        # C523 has g = 2, which admits neither order 3 nor order 5, so
+        # nothing is scanned.  UNBOUNDED_Z2 has g = 0: cases III and V both
+        # scan n/2.
         classifier_module._divisor_pairs.cache_clear()
         assert classify(C523).label == "Z2"
+        info = classifier_module._divisor_pairs.cache_info()
+        assert (info.misses, info.hits) == (0, 0)
+        assert classify(UNBOUNDED_Z2).label == "Z2"
         info = classifier_module._divisor_pairs.cache_info()
         assert (info.misses, info.hits) == (1, 1)
 
@@ -565,12 +572,12 @@ class TestLayerAttributes:
         spy(curve_module, "order")
         return seen
 
-    # Z12 runs I, III, then IV; (23, 8, 7) runs I, III, then II on top of
-    # I; (95, 32, 10) runs I, III, then V.
+    # Z12 (g = 12) runs I, III, then IV; (23, 8, 7) (g = 8) runs I, then II
+    # on top of I; (95, 32, 10) (g = 10) runs only V.
     CLASSIFY_CHECKS = {
-        "check_case_i": 3,
+        "check_case_i": 2,
         "check_case_ii": 1,
-        "check_case_iii": 3,
+        "check_case_iii": 1,
         "check_case_iv": 1,
         "check_case_v": 1,
     }

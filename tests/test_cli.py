@@ -407,6 +407,20 @@ class TestLargeInputs:
         assert proc.returncode == EXIT_LIMIT
         assert str(d) in proc.stderr
 
+    def test_unfactorable_half_n_skipped_when_bound_rules_out_3_and_5(self):
+        # n/2 = 2^89 - 1 is prime beyond the proven range.  g = 2 admits no
+        # point of order 3 or 5, so cases III and V never factor n/2.
+        proc = self.cli("classify", "5", str(2 * (2**89 - 1)), "3")
+        assert proc.returncode == EXIT_OK, proc.stderr
+        assert "class: Z2" in proc.stdout
+
+    def test_unfactorable_half_n_exits_4_when_bound_admits_3(self):
+        # The same n with g = 6: case III must scan the divisors of n/2.
+        half = 2**89 - 1
+        proc = self.cli("classify", "53", str(2 * half), "11")
+        assert proc.returncode == EXIT_LIMIT
+        assert str(half) in proc.stderr
+
     # Z4 curves normalize(a^2 + b^2*D, 2ab, D) with a = 3*5*...*29: the
     # discriminant has 13 or 14 distinct primes, which the oracle never
     # factors.

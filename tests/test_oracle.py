@@ -318,19 +318,31 @@ def _euler_count(p: int, a: int, b: int) -> int:
 CLASS_BOUND = sum(p * p for p in oracle._REDUCTION_PRIMES)
 
 
+@pytest.fixture
+def fresh_counts(monkeypatch):
+    """An empty point-count memo, in place of the shared one."""
+    counts = {p: bytearray(p * p) for p in oracle._REDUCTION_PRIMES}
+    monkeypatch.setattr(oracle, "_COUNTS", counts)
+    return counts
+
+
+def _computed(counts) -> int:
+    return sum(len(memo) - memo.count(0) for memo in counts.values())
+
+
 class TestPointCount:
-    def test_every_residue_class_cold_then_warm(self):
+    def test_every_residue_class_cold_then_warm(self, monkeypatch, fresh_counts):
         classes = [
             (p, a, b) for p in oracle._REDUCTION_PRIMES for a in range(p) for b in range(p)
         ]
         assert len(classes) == CLASS_BOUND == 10462
         want = [_euler_count(*key) for key in classes]
-        oracle._point_count.cache_clear()
         assert [oracle._point_count(*key) for key in classes] == want
-        assert oracle._point_count.cache_info().misses == CLASS_BOUND
+        assert _computed(fresh_counts) == CLASS_BOUND
+        assert [x for p in oracle._REDUCTION_PRIMES for x in fresh_counts[p]] == want
+        # Warm: every count comes from the memo, never from the characters.
+        monkeypatch.setattr(oracle, "_CHARACTERS", {})
         assert [oracle._point_count(*key) for key in classes] == want
-        info = oracle._point_count.cache_info()
-        assert (info.hits, info.misses, info.currsize) == (CLASS_BOUND, CLASS_BOUND, CLASS_BOUND)
 
     @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
     def test_small_primes_against_direct_point_search(self, p):
@@ -339,26 +351,37 @@ class TestPointCount:
             assert oracle._point_count(p, a, b) == _points_mod_p(model, p), (a, b)
 
     @pytest.mark.parametrize("p", [7, 11, 13, 47])
-    def test_no_stale_counts_from_other_primes(self, monkeypatch, p):
+    def test_no_stale_counts_from_other_primes(self, monkeypatch, fresh_counts, p):
         curves = [C322, C323, C523, CurveMND(95, 32, 10), *sweep_curves(8, 8, 5)]
-        oracle._point_count.cache_clear()
         others = tuple(r for r in oracle._REDUCTION_PRIMES if r != p)
         monkeypatch.setattr(oracle, "_REDUCTION_PRIMES", others)
         for c in curves:
             reduction_bound(c)
-        assert oracle._point_count.cache_info().currsize > 0
+        assert _computed(fresh_counts) > 0
+        assert not any(fresh_counts[p])
         monkeypatch.setattr(oracle, "_REDUCTION_PRIMES", (p,))
         for c in curves:
             want = _points_mod_p(c, p) if discriminant(c) % p else 0
             assert reduction_bound(c) == want, c
 
-    def test_cache_stays_within_residue_classes(self):
-        oracle._point_count.cache_clear()
+    def test_cache_stays_within_residue_classes(self, monkeypatch, fresh_counts):
+        calls = 0
+        count = oracle._point_count
+
+        def counted(p, a, b):
+            nonlocal calls
+            calls += 1
+            return count(p, a, b)
+
+        monkeypatch.setattr(oracle, "_point_count", counted)
         for c in sweep_curves(12, 12, 10):
             torsion_group(c)
-        info = oracle._point_count.cache_info()
-        assert 0 < info.currsize <= CLASS_BOUND
-        assert info.hits > info.misses
+        assert {p: len(memo) for p, memo in fresh_counts.items()} == {
+            p: p * p for p in oracle._REDUCTION_PRIMES
+        }
+        computed = _computed(fresh_counts)
+        assert 0 < computed <= CLASS_BOUND
+        assert calls - computed > computed  # more memo hits than misses
 
 
 class TestTorsionConditions:
