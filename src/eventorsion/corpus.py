@@ -3,31 +3,33 @@
 One JSON object per line, fixed key order (m, n, D, class, witness,
 generator_x, generator_y, oracle_order, agree), every integer serialized as
 a decimal string so no consumer word size can truncate it.  A witness is
-"TAG:p1,p2,..." or null, TAG being a key of `classifier.CASES`.  Reading
-checks the keys in this order, each integer a string in canonical decimal
-form, class a string, agree true, false or null, and the witness token of a
-known tag; `json.loads` keeps the last of repeated keys, at the first's place.
+"TAG:p1,p2,..." or null, TAG being a key of `classifier.CASES`.  Every field
+is a decimal, a "Z<k>" label or a witness token, so the line needs no JSON
+escaping: one template writes it, as `json.dumps` would with its default
+separators, and one anchored pattern reads it back.  Reading accepts only
+the canonical line that writing produces, plus surrounding whitespace; any
+other line raises `CorpusFormatError` (exit 2 from `verify`).
 """
 
 from __future__ import annotations
 
-import json
+import re
 from dataclasses import dataclass
 from typing import Optional
 
 from .classifier import CASES, ClassificationReport, Witness
 
-FIELD_ORDER = (
-    "m",
-    "n",
-    "D",
-    "class",
-    "witness",
-    "generator_x",
-    "generator_y",
-    "oracle_order",
-    "agree",
+# A canonical decimal: what str() writes for an int.  ASCII [0-9], not \d,
+# because int() also reads non-ASCII digits.
+_INT = r"(?:0|-?[1-9][0-9]*)"
+_TOKEN = re.compile(rf"({'|'.join(map(re.escape, CASES))}):({_INT}(?:,{_INT})*)")
+_LINE = re.compile(
+    rf'\{{"m": "({_INT})", "n": "({_INT})", "D": "({_INT})", "class": "(Z{_INT})", '
+    rf'"witness": (?:null|"{_TOKEN.pattern}"), '
+    rf'"generator_x": "({_INT})", "generator_y": "({_INT})", '
+    rf'"oracle_order": (?:null|"({_INT})"), "agree": (null|true|false)\}}'
 )
+_AGREE = {"null": None, "true": True, "false": False}
 
 
 class CorpusFormatError(ValueError):
@@ -43,20 +45,19 @@ def witness_token(witness: Optional[Witness]) -> Optional[str]:
 def witness_from_token(token: Optional[str]) -> Optional[Witness]:
     if token is None:
         return None
+    match = _TOKEN.fullmatch(token) if isinstance(token, str) else None
+    if match is None:
+        raise CorpusFormatError(f"bad witness token {token!r}")
     try:
-        tag, joined = token.split(":", 1)
-        return CASES[tag](*map(_decimal, joined.split(",")))
-    except (AttributeError, ValueError, KeyError, TypeError) as exc:
+        return _witness(*match.groups())
+    except (ValueError, TypeError) as exc:
         raise CorpusFormatError(f"bad witness token {token!r}") from exc
 
 
-def _decimal(text: object) -> int:
-    """The integer written as `text` by to_line: its canonical decimal string."""
-    if isinstance(text, str):
-        value = int(text)
-        if str(value) == text:
-            return value
-    raise ValueError(f"{text!r} is not a canonical decimal integer")
+def _witness(tag: str, params: str) -> Witness:
+    """The witness of a token matched by _TOKEN.  Raises TypeError on a wrong
+    parameter count, ValueError on a parameter past the int-string limit."""
+    return CASES[tag](*map(int, params.split(",")))
 
 
 @dataclass(frozen=True)
@@ -86,44 +87,32 @@ class CorpusRecord:
         )
 
     def to_line(self) -> str:
-        payload = {
-            "m": str(self.m),
-            "n": str(self.n),
-            "D": str(self.D),
-            "class": self.cls,
-            "witness": witness_token(self.witness),
-            "generator_x": str(self.generator_x),
-            "generator_y": str(self.generator_y),
-            "oracle_order": None if self.oracle_order is None else str(self.oracle_order),
-            "agree": self.agree,
-        }
-        return json.dumps(payload)
+        witness = "null" if self.witness is None else f'"{witness_token(self.witness)}"'
+        order = "null" if self.oracle_order is None else f'"{self.oracle_order}"'
+        agree = "null" if self.agree is None else "true" if self.agree else "false"
+        return (
+            f'{{"m": "{self.m}", "n": "{self.n}", "D": "{self.D}", "class": "{self.cls}", '
+            f'"witness": {witness}, "generator_x": "{self.generator_x}", '
+            f'"generator_y": "{self.generator_y}", "oracle_order": {order}, "agree": {agree}}}'
+        )
 
     @classmethod
     def from_line(cls, line: str) -> "CorpusRecord":
-        try:
-            payload = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise CorpusFormatError(f"not valid JSON: {line!r}") from exc
-        if not isinstance(payload, dict) or tuple(payload) != FIELD_ORDER:
+        match = _LINE.fullmatch(line.strip())
+        if match is None:
             raise CorpusFormatError(f"unexpected fields in {line!r}")
-        label, agree = payload["class"], payload["agree"]
-        if not isinstance(label, str) or not (agree is None or isinstance(agree, bool)):
-            raise CorpusFormatError(f"bad class or agree in {line!r}")
+        m, n, d, label, tag, params, gx, gy, order, agree = match.groups()
         try:
             return cls(
-                m=_decimal(payload["m"]),
-                n=_decimal(payload["n"]),
-                D=_decimal(payload["D"]),
-                cls=label,
-                witness=witness_from_token(payload["witness"]),
-                generator_x=_decimal(payload["generator_x"]),
-                generator_y=_decimal(payload["generator_y"]),
-                oracle_order=(
-                    None if payload["oracle_order"] is None else _decimal(payload["oracle_order"])
-                ),
-                agree=agree,
+                int(m),
+                int(n),
+                int(d),
+                label,
+                None if tag is None else _witness(tag, params),
+                int(gx),
+                int(gy),
+                None if order is None else int(order),
+                _AGREE[agree],
             )
-        except ValueError as exc:
+        except (ValueError, TypeError) as exc:
             raise CorpusFormatError(f"bad record values in {line!r}") from exc
-

@@ -1,16 +1,27 @@
 import json
+import sys
+from contextlib import contextmanager
+from dataclasses import fields
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
-from eventorsion.classifier import WitnessII, WitnessV, full_report
-from eventorsion.corpus import (
-    FIELD_ORDER,
-    CorpusFormatError,
-    CorpusRecord,
-    witness_from_token,
-    witness_token,
-)
+from eventorsion.classifier import CASES, WitnessII, WitnessIII, WitnessV, full_report
+from eventorsion.corpus import CorpusFormatError, CorpusRecord, witness_from_token, witness_token
 from eventorsion.curve import CurveMND
+
+FIELD_ORDER = (
+    "m",
+    "n",
+    "D",
+    "class",
+    "witness",
+    "generator_x",
+    "generator_y",
+    "oracle_order",
+    "agree",
+)
 
 
 class TestWitnessTokens:
@@ -83,3 +94,89 @@ class TestCorpusRecord:
         ]:
             with pytest.raises(CorpusFormatError):
                 CorpusRecord.from_line(json.dumps({**good, field: bad}))
+
+    def test_rejects_repeated_key(self):
+        line = self.record().to_line()
+        with pytest.raises(CorpusFormatError, match="unexpected fields"):
+            CorpusRecord.from_line(line[:-1] + ', "m": "5"}')
+
+    def test_rejects_lines_json_reads_but_to_line_never_writes(self):
+        line = self.record().to_line()
+        assert '"m": "3"' in line and '"witness": "I:1,1"' in line
+        for bad in [
+            json.dumps(json.loads(line), separators=(",", ":")),
+            line.replace('"m": "3"', '"m": "\\u0033"'),
+            line.replace('"m": "3"', '"m": "\u0663"'),
+            line.replace('"m": "3"', '"m": "3\u0663"'),
+            line[:-1] + ', "x": "1"}',
+            line.replace('"I:1,1"', '"I:01,1"'),
+        ]:
+            assert json.loads(bad) is not None
+            with pytest.raises(CorpusFormatError, match="unexpected fields"):
+                CorpusRecord.from_line(bad)
+
+    def test_rejects_past_the_default_digit_limit(self):
+        line = self.record().to_line().replace('"m": "3"', f'"m": "1{"0" * 4400}"')
+        with int_digit_limit(4300), pytest.raises(CorpusFormatError):
+            CorpusRecord.from_line(line)
+
+    def test_accepts_surrounding_whitespace(self):
+        rec = self.record()
+        assert CorpusRecord.from_line(f" \t{rec.to_line()}\r\n") == rec
+
+
+@contextmanager
+def int_digit_limit(limit):
+    """Python's int/str conversion limit set to `limit` (0: none), then restored."""
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
+def json_line(record):
+    """The reference for to_line: json.dumps of the record's payload dict."""
+    return json.dumps(
+        {
+            "m": str(record.m),
+            "n": str(record.n),
+            "D": str(record.D),
+            "class": record.cls,
+            "witness": witness_token(record.witness),
+            "generator_x": str(record.generator_x),
+            "generator_y": str(record.generator_y),
+            "oracle_order": None if record.oracle_order is None else str(record.oracle_order),
+            "agree": record.agree,
+        }
+    )
+
+
+HUGE = 10**4400 + 1  # past Python's default 4300-digit limit
+INTS = st.integers() | st.just(HUGE) | st.just(-HUGE)
+WITNESSES = st.none() | st.one_of(
+    *(st.builds(case, *[INTS] * len(fields(case))) for case in CASES.values())
+)
+RECORDS = st.builds(
+    CorpusRecord,
+    INTS,
+    INTS,
+    INTS,
+    st.integers().map("Z{}".format),
+    WITNESSES,
+    INTS,
+    INTS,
+    st.none() | INTS,
+    st.sampled_from([None, True, False]),
+)
+
+
+@given(RECORDS)
+@example(CorpusRecord(HUGE, 2, -HUGE, "Z6", WitnessIII(-1, 2, -3), 0, -1, None, False))
+@example(CorpusRecord(95, 32, 10, "Z10", WitnessV(4, 4, -9, -3), 81, 1296, 10, True))
+def test_to_line_is_json_dumps_and_round_trips(record):
+    with int_digit_limit(0):
+        line = record.to_line()
+        assert line == json_line(record)
+        assert CorpusRecord.from_line(line) == record
