@@ -33,12 +33,12 @@ side conditions.  Every condition forces n even, so odd n lands in Z2.
 each give a rational point of order 4, 3 or 5, and rational torsion injects
 into E(F_p) at every odd prime p of good reduction (Silverman, AEC VII.3.1),
 so that order divides the oracle's `reduction_bound` g.  Case I runs only
-when 4 | g, case III when 3 | g and case V when 5 | g; g = 0 (no usable
-prime) runs them all, and II and IV still ride on I and III.  On most curves
-g rules out 3 and 5, and then n/2 is never factored.  The `--oracle`
-cross-check shares `reduction_bound` with the classifier, so the
-acceptance sweep checks the filter against the unfiltered `case_witnesses`,
-which like the `check_case_*` functions runs every check.
+when 4 | g, case III when 3 | g and case V when 5 | g, and II and IV still
+ride on I and III.  On most curves g rules out 3 and 5, and then n/2 is
+never factored.  The `--oracle` cross-check shares `reduction_bound` with
+the classifier, so the acceptance sweep checks the filter against the
+unfiltered `case_witnesses`, which like the `check_case_*` functions runs
+every check.
 """
 
 from __future__ import annotations
@@ -400,8 +400,7 @@ def classify(c: CurveMND) -> TorsionClass:
     Z8 when case II refines it and Z4 otherwise; case III alone gives Z6;
     with neither, case V gives Z10; everything else is Z2.  Odd n is Z2 at
     once, since every case forces n even; otherwise cases I, III and V run
-    only when the reduction bound g admits their point of order 4, 3 or 5
-    (g = 0 admits every order).
+    only when the reduction bound g admits their point of order 4, 3 or 5.
     """
     if c.n % 2:
         return TorsionClass(None)

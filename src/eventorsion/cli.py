@@ -222,11 +222,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    if hasattr(sys, "set_int_max_str_digits"):
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
         sys.set_int_max_str_digits(0)
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         return args.func(args)
     except BrokenPipeError:
         # The reader went away (`eventorsion sweep ... | head -1`); send the
@@ -244,6 +244,9 @@ def main(argv: list[str] | None = None) -> int:
     except (InconsistencyError, OracleError) as exc:
         print(f"inconsistency: {exc}", file=sys.stderr)
         return EXIT_INCONSISTENT
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 def run() -> None:

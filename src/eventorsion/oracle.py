@@ -21,18 +21,14 @@ list and contain every point found.
 Before solving, the oracle bounds the group's order by reduction: at an
 odd prime p of good reduction, rational torsion injects into E(F_p)
 (Silverman, AEC VII.3.1 with VII.3.4), so #T divides the gcd g of #E(F_p)
-over the first six odd primes up to 47 that do not divide the discriminant
-64q^2*n^2*D, that is, that do not divide q*n*D.  #E(F_p) depends only on
-(p, 2m mod p, q mod p), so each count is memoized per residue class in one
-bytearray(p*p) per prime, 0 until computed (every count is at least 2, for
-(0, 0) and the point at infinity, and at most 2p + 1 < 256): a fixed
-sum(p^2) = 10,462 bytes.
-A condition of order k is solved only when k divides g, so when g = 2 (for
-a family member, T = Z/2) nothing is solved; when no listed prime is
-usable (g = 0), every condition is solved.  The classifier reads the same
-bound to skip the case checks it rules out, but nothing here uses the
-classifier: the structural inputs are the integrality of torsion points,
-the group law, the injection theorem and Mazur's list of cyclic orders.
+over the first six odd primes not dividing the discriminant 64q^2*n^2*D,
+that is, not dividing q*n*D.  Only finitely many do, and (0, 0) stays of
+order 2 mod p, so g is even and at least 2.  A condition of order k is
+solved only when k divides g, so when g = 2 (for a family member, T = Z/2)
+nothing is solved.  The classifier reads the same bound to skip the case
+checks it rules out, but nothing here uses the classifier: the structural
+inputs are the integrality of torsion points, the group law, the injection
+theorem and Mazur's list of cyclic orders.
 """
 
 from __future__ import annotations
@@ -49,16 +45,14 @@ from .curve import INFINITY, CurveMND, Point
 # rational points of order 2, which no family member has.
 MAZUR_CYCLIC_ORDERS = (*range(1, 11), 12)
 
-# Odd primes tried for the reduction bound, in order; the bound uses the
-# first _REDUCTION_PRIME_COUNT of them that do not divide the discriminant.
+# The odd primes whose #E(F_p) is memoized, and how many good primes g takes.
 _REDUCTION_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 _REDUCTION_PRIME_COUNT = 6
 
 
 def _quadratic_character(p: int) -> tuple[int, ...]:
-    """chi_p(r) for r = 0..p-1: 0 at 0, 1 on nonzero squares, -1 elsewhere."""
-    squares = {x * x % p for x in range(1, p)}
-    return tuple(0 if r == 0 else 1 if r in squares else -1 for r in range(p))
+    """chi_p(r) for r = 0..p-1 by Euler's criterion, r^((p-1)/2) mod p."""
+    return tuple([(pow(r, (p - 1) // 2, p) + 1) % p - 1 for r in range(p)])
 
 
 _CHARACTERS = {p: _quadratic_character(p) for p in _REDUCTION_PRIMES}
@@ -93,43 +87,49 @@ def discriminant(c: CurveMND) -> int:
     return 64 * q * q * c.n * c.n * c.D
 
 
-# _COUNTS[p][a*p + b] is #E(F_p) for the residues a, b, or 0 until counted.
+# #E(F_p) depends only on (p, 2m mod p, q mod p): _COUNTS[p][a*p + b] is the
+# count for the residues a, b, or 0 until counted (every count is 2..2p + 1,
+# below 256), a fixed sum(p^2) = 10,462 bytes.
 _COUNTS = {p: bytearray(p * p) for p in _REDUCTION_PRIMES}
 
 
 def _point_count(p: int, a: int, b: int) -> int:
-    """#E(F_p) = p + 1 + sum_x chi_p(x^3 + a*x^2 + b*x), for 0 <= a, b < p."""
+    """`_direct_count`, memoized per residue class."""
     counts = _COUNTS[p]
     count = counts[a * p + b]
     if not count:
-        chi = _CHARACTERS[p]
-        count = p + 1 + sum([chi[((x + a) * x + b) * x % p] for x in range(p)])
-        counts[a * p + b] = count
+        count = counts[a * p + b] = _direct_count(p, a, b, _CHARACTERS[p])
     return count
+
+
+def _direct_count(p: int, a: int, b: int, chi: tuple[int, ...]) -> int:
+    """#E(F_p) = p + 1 + sum_x chi_p(x^3 + a*x^2 + b*x), for 0 <= a, b < p."""
+    return p + 1 + sum([chi[((x + a) * x + b) * x % p] for x in range(p)])
 
 
 def reduction_bound(c: CurveMND) -> int:
     """A multiple of the torsion order: gcd of #E(F_p) over good odd primes.
 
-    #E(F_p) = p + 1 + sum_x chi_p(x^3 + 2m*x^2 + q*x) depends only on
-    (p, 2m mod p, q mod p), and `_point_count` memoizes it per residue class.
     An odd p divides the discriminant 64q^2*n^2*D exactly when it divides
     q*n*D, so those primes are skipped; the gcd stops early at 2, the least
-    it can be since (0, 0) has order 2.  Returns 0 when no listed prime is
-    usable.
+    it can be since (0, 0) has order 2.  Up to 47 the counts come from the
+    `_point_count` memo; only curves with most of those primes bad go past.
     """
     m2, q = 2 * c.m, c.q
     bad = q * c.n * c.D
-    g = 0
-    used = 0
+    g = used = 0
     for p in _REDUCTION_PRIMES:
-        if bad % p == 0:
-            continue
-        g = math.gcd(g, _point_count(p, m2 % p, q % p))
-        used += 1
-        if g == 2 or used == _REDUCTION_PRIME_COUNT:
-            break
-    return g
+        if bad % p:
+            g = math.gcd(g, _point_count(p, m2 % p, q % p))
+            used += 1
+            if g == 2 or used == _REDUCTION_PRIME_COUNT:
+                return g
+    for p in intmath._primes():
+        if p > _REDUCTION_PRIMES[-1] and bad % p:
+            g = math.gcd(g, _direct_count(p, m2 % p, q % p, _quadratic_character(p)))
+            used += 1
+            if g == 2 or used == _REDUCTION_PRIME_COUNT:
+                return g
 
 
 def _poly_mul(f: list[int], g: list[int]) -> list[int]:
@@ -182,7 +182,7 @@ def torsion_group(c: CurveMND) -> TorsionGroup:
 
     Each torsion condition is solved only when the reduction bound g allows
     its order: order 4 when 4 | g, order 8 when 8 | g, order 3 when 3 | g,
-    order 5 when 5 | g (all of them when g = 0, none when g = 2).
+    order 5 when 5 | g (none when g = 2).
     """
     m, q = c.m, c.q
     # Every point with y = 0 has order 2: x = 0 and, when r is an integer,
@@ -191,8 +191,6 @@ def torsion_group(c: CurveMND) -> TorsionGroup:
     xs = (0,) if r is None else (0, -m - r, -m + r)
     two_power = [Point(x, 0) for x in xs]
     found = set(two_power)
-    # #T divides the bound, and a condition is solved only when the bound
-    # allows its order, so at g = 2 nothing is solved and (0, 0) generates T.
     bound = reduction_bound(c)
 
     # (0, 0) is the only rational point of order 2, so a point of order 4

@@ -43,8 +43,6 @@ C523 = CurveMND(5, 2, 3)
 C2387 = CurveMND(23, 8, 7)
 C59246 = CurveMND(59, 24, 6)
 C953210 = CurveMND(95, 32, 10)
-# Z2, with n/2 = 3*5*...*47: every reduction prime divides n, so g = 0.
-UNBOUNDED_Z2 = CurveMND(5, 2 * 307444891294245705, 3)
 # Z2, with n/2 the product of the first 20 odd primes: 2^20 divisors.
 ODD_PRIMORIAL_20 = prod(p for p in range(3, 74) if all(p % q for q in range(2, p)))
 
@@ -284,15 +282,16 @@ class TestDivisorPairs:
             brute = tuple((d, half // d) for d in range(1, abs(half) + 1) if half % d == 0)
             assert classifier_module._divisor_pairs(n) == brute, n
 
-    def test_one_miss_per_classify(self):
+    def test_one_miss_per_classify(self, monkeypatch):
         # C523 has g = 2, which admits neither order 3 nor order 5, so
-        # nothing is scanned.  UNBOUNDED_Z2 has g = 0: cases III and V both
-        # scan n/2.
+        # nothing is scanned.  With the bound replaced by 120 = lcm(8, 3, 5),
+        # cases III and V both scan n/2.
         classifier_module._divisor_pairs.cache_clear()
         assert classify(C523).label == "Z2"
         info = classifier_module._divisor_pairs.cache_info()
         assert (info.misses, info.hits) == (0, 0)
-        assert classify(UNBOUNDED_Z2).label == "Z2"
+        monkeypatch.setattr(classifier_module._oracle, "reduction_bound", lambda c: 120)
+        assert classify(C523).label == "Z2"
         info = classifier_module._divisor_pairs.cache_info()
         assert (info.misses, info.hits) == (1, 1)
 

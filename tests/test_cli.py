@@ -1,8 +1,11 @@
+import contextlib
 import hashlib
 import json
 import math
+import sys
 
 import pytest
+from conftest import int_digit_limit
 
 from eventorsion import classifier, curve, oracle
 from eventorsion.cli import (
@@ -70,13 +73,26 @@ class TestClassifyCommand:
         m = 10**2500 + 7
         code, out, _ = run(capsys, "classify", str(m), "2", "2")
         assert code == EXIT_OK
-        first = out.splitlines()[0]
-        assert first == f"curve (m={m}, n=2, D=2): y^2 = x^3 + {2 * m}*x^2 + {m * m - 8}*x"
+        with int_digit_limit(0):
+            want = f"curve (m={m}, n=2, D=2): y^2 = x^3 + {2 * m}*x^2 + {m * m - 8}*x"
+        assert out.splitlines()[0] == want
         path = tmp_path / "huge.jsonl"
         run(capsys, "classify", str(m), "2", "2", "--format", "records", "--out", str(path))
         code, _, err = run(capsys, "verify", str(path))
         assert code == EXIT_OK
         assert err == "verified=1 mismatches=0\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["classify", "3", "2", "2"], ["classify", "3", "0", "2"], ["oracle", "3", "2"]],
+    )
+    def test_main_restores_the_digit_limit(self, capsys, argv):
+        # main lifts the limit while it runs, whether it answers, rejects
+        # the curve or rejects the arguments, and then puts it back.
+        with int_digit_limit(4300):
+            with contextlib.suppress(SystemExit):
+                main(argv)
+            assert sys.get_int_max_str_digits() == 4300
 
 
 class TestOracleCommand:
@@ -450,13 +466,21 @@ class TestLargeInputs:
 
     def test_every_small_prime_bad_oracle_exits_0(self):
         # n is the product of the primes below 1000: each divides the
-        # discriminant, so g = 0 and every torsion condition is solved, at
-        # primes past 1000.
+        # discriminant, so the bound walks to the primes past 1000.
         n = math.prod(p for p in range(2, 1000) if all(p % d for d in range(2, p)))
         proc = self.cli("oracle", "1", str(n), "-1")
         assert proc.returncode == EXIT_OK, proc.stderr
         assert "structure: Z2 (order 2)" in proc.stdout
-        assert "reduction bound: 0" in proc.stdout
+        assert "reduction bound: 2" in proc.stdout
+
+    def test_first_24_odd_primes_bad_classify_exits_0(self):
+        # n/2 is the product of the first 24 odd primes, all bad; the bound
+        # reaches 2 at p = 113, so nothing scans the 2^24 divisors of n/2.
+        half = math.prod(p for p in range(3, 98) if all(p % d for d in range(2, p)))
+        proc = self.cli("classify", "5", str(2 * half), "3", "--oracle")
+        assert proc.returncode == EXIT_OK, proc.stderr
+        assert "class: Z2" in proc.stdout
+        assert "agree: yes" in proc.stdout
 
 
 class TestEntryPoint:

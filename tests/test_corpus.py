@@ -1,9 +1,8 @@
 import json
-import sys
-from contextlib import contextmanager
 from dataclasses import fields
 
 import pytest
+from conftest import int_digit_limit
 from hypothesis import example, given
 from hypothesis import strategies as st
 
@@ -123,17 +122,6 @@ class TestCorpusRecord:
     def test_accepts_surrounding_whitespace(self):
         rec = self.record()
         assert CorpusRecord.from_line(f" \t{rec.to_line()}\r\n") == rec
-
-
-@contextmanager
-def int_digit_limit(limit):
-    """Python's int/str conversion limit set to `limit` (0: none), then restored."""
-    old = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(limit)
-    try:
-        yield
-    finally:
-        sys.set_int_max_str_digits(old)
 
 
 def json_line(record):

@@ -1,5 +1,6 @@
+import math
 import time
-from itertools import product
+from itertools import islice, product
 from types import SimpleNamespace
 
 import pytest
@@ -70,11 +71,27 @@ SAMPLE_BOUNDS = {"I": 3, "II": 2, "III": 3, "IV": 25, "V": 9}
 
 
 def _unbounded(c: CurveMND) -> TorsionGroup:
-    """torsion_group(c) with no usable reduction prime, so g = 0, the
-    weakest bound, and every torsion condition is solved."""
+    """torsion_group(c) with the reduction bound replaced by
+    120 = lcm(8, 3, 5), which admits every order, so every torsion condition
+    is solved."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(oracle, "_REDUCTION_PRIMES", ())
+        mp.setattr(oracle, "reduction_bound", lambda c: 120)
         return torsion_group(c)
+
+
+ODD_PRIMES = tuple(islice(intmath._primes(), 1, 200))
+
+
+def _first_good_prime(c: CurveMND) -> int:
+    return next(p for p in ODD_PRIMES if discriminant(c) % p)
+
+
+def _first_good_at(p: int) -> list[CurveMND]:
+    """Curves whose first odd prime of good reduction is p: n/2 is the
+    product of the odd primes below p, and the residues of q mod p vary."""
+    n = 2 * math.prod(r for r in ODD_PRIMES if r < p)
+    curves = [CurveMND(m, n, d) for m in range(1, 9) for d in (-2, -1, 2, 3)]
+    return [c for c in curves if _first_good_prime(c) == p]
 
 
 def _assert_paths_agree(curves):
@@ -254,32 +271,49 @@ def test_oracle_takes_no_order(monkeypatch):
 
 
 class TestReductionBound:
-    @pytest.mark.parametrize("p", [7, 11, 13, 47])
+    @pytest.mark.parametrize("p", [7, 11, 13, 47, 53, 89])
     def test_single_prime_is_point_count(self, monkeypatch, p):
-        c = CurveMND(95, 32, 10)
-        assert discriminant(c) % p != 0
-        monkeypatch.setattr(oracle, "_REDUCTION_PRIMES", (p,))
-        assert reduction_bound(c) == _points_mod_p(c, p)
+        monkeypatch.setattr(oracle, "_REDUCTION_PRIME_COUNT", 1)
+        curves = _first_good_at(p)
+        assert curves
+        for c in curves:
+            assert reduction_bound(c) == _points_mod_p(c, p), c
 
     def test_bad_prime_is_skipped(self, monkeypatch):
         assert discriminant(C323) == 6912 and 6912 % 3 == 0
-        monkeypatch.setattr(oracle, "_REDUCTION_PRIMES", (3,))
-        assert reduction_bound(C323) == 0
-        monkeypatch.setattr(oracle, "_REDUCTION_PRIMES", (3, 5))
+        monkeypatch.setattr(oracle, "_REDUCTION_PRIME_COUNT", 1)
         assert reduction_bound(C323) == _points_mod_p(C323, 5) == 6
 
-    def test_no_usable_prime_falls_back_to_enumeration(self, monkeypatch, enumerations):
-        c = CurveMND(1, 105, 2)
+    def test_all_listed_primes_bad_walks_past_47(self, monkeypatch, enumerations):
+        # n/2 = 3*5*...*47: every memoized prime divides the discriminant.
+        c = CurveMND(5, 2 * math.prod(ODD_PRIMES[:14]), 3)
         bounded = torsion_group(c)
-        enumerations.clear()
-        monkeypatch.setattr(oracle, "_REDUCTION_PRIMES", (3, 5, 7))
-        assert reduction_bound(c) == 0
+        assert reduction_bound(c) == 2 and enumerations == []
+        monkeypatch.setattr(oracle, "_REDUCTION_PRIME_COUNT", 1)
+        assert reduction_bound(c) == _points_mod_p(c, 53) == 60
         group = torsion_group(c)
-        # q = 1 - 105^2*2 < 0 has no square root, so no order-4 point is
-        # there to halve: the order-4, order-3 and order-5 solves run.
+        # g = 60 admits orders 4, 3 and 5.  q = 25 - 12*(n/2)^2 < 0 has no
+        # square root, so no order-4 point is there to halve: the order-4,
+        # order-3 and order-5 solves run.
         assert enumerations == [c] * 3
         assert group.elements == (INFINITY, Point(0, 0))
         assert group == bounded
+
+    @pytest.mark.parametrize("k, p", [(20, 89), (24, 113), (40, 199)])
+    def test_walk_past_47_reaches_two(self, k, p):
+        # n/2 is the product of the first k odd primes, all bad.  g is the
+        # gcd over the first six good primes, and it falls to 2 at p.
+        c = CurveMND(5, 2 * math.prod(ODD_PRIMES[:k]), 3)
+        good = [r for r in ODD_PRIMES if discriminant(c) % r][:6]
+        counts = [_points_mod_p(c, r) for r in good]
+        assert reduction_bound(c) == math.gcd(*counts) == 2
+        assert math.gcd(*counts[: good.index(p)]) > 2
+        assert math.gcd(*counts[: good.index(p) + 1]) == 2
+
+    def test_bound_is_even_and_at_least_two(self):
+        for c in sweep_curves(12, 12, 10):
+            g = reduction_bound(c)
+            assert g >= 2 and g % 2 == 0, c
 
     def test_settled_curve_skips_enumeration(self, enumerations):
         assert torsion_group(C523).structure == "Z2"
@@ -288,7 +322,7 @@ class TestReductionBound:
         assert enumerations == [C523] * 3
 
     def test_z8_curve_halves_its_order_four_point(self, enumerations):
-        # With g = 0 every condition is solved; q = 81, and the order-4
+        # With g = 120 every condition is solved; q = 81, and the order-4
         # point (9, 72) of this Z8 curve is halved, so four solves run.
         c = CurveMND(23, 8, 7)
         assert _unbounded(c).structure == "Z8"
@@ -352,17 +386,19 @@ class TestPointCount:
 
     @pytest.mark.parametrize("p", [7, 11, 13, 47])
     def test_no_stale_counts_from_other_primes(self, monkeypatch, fresh_counts, p):
+        # With one prime per bound, curves whose first good prime is not p
+        # fill the other primes' memos and leave p's empty; curves whose
+        # first good prime is p then get their own counts.
+        monkeypatch.setattr(oracle, "_REDUCTION_PRIME_COUNT", 1)
         curves = [C322, C323, C523, CurveMND(95, 32, 10), *sweep_curves(8, 8, 5)]
-        others = tuple(r for r in oracle._REDUCTION_PRIMES if r != p)
-        monkeypatch.setattr(oracle, "_REDUCTION_PRIMES", others)
         for c in curves:
-            reduction_bound(c)
+            if _first_good_prime(c) != p:
+                reduction_bound(c)
         assert _computed(fresh_counts) > 0
         assert not any(fresh_counts[p])
-        monkeypatch.setattr(oracle, "_REDUCTION_PRIMES", (p,))
-        for c in curves:
-            want = _points_mod_p(c, p) if discriminant(c) % p else 0
-            assert reduction_bound(c) == want, c
+        for c in _first_good_at(p):
+            assert reduction_bound(c) == _points_mod_p(c, p), c
+        assert any(fresh_counts[p])
 
     def test_cache_stays_within_residue_classes(self, monkeypatch, fresh_counts):
         calls = 0
