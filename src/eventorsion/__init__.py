@@ -29,18 +29,12 @@ from .curve import (
     InvalidCurveError,
     NonCyclicReport,
     Point,
-    QuadElement,
-    add,
-    double_x,
     from_general,
-    is_halvable,
-    is_square_quad,
     normalize,
     order,
-    three_torsion_quartic,
 )
 from .family import FamilySample, sample_case, sweep_curves
-from .oracle import TorsionGroup, assert_family_shape, discriminant, torsion_group
+from .oracle import TorsionGroup, torsion_group
 
 __version__ = "0.1.0"
 
@@ -56,7 +50,6 @@ __all__ = [
     "NonCyclicReport",
     "NonSquareYError",
     "Point",
-    "QuadElement",
     "TorsionClass",
     "TorsionGroup",
     "Witness",
@@ -65,25 +58,18 @@ __all__ = [
     "WitnessIII",
     "WitnessIV",
     "WitnessV",
-    "add",
-    "assert_family_shape",
     "check_case_i",
     "check_case_ii",
     "check_case_iii",
     "check_case_iv",
     "check_case_v",
     "classify",
-    "discriminant",
-    "double_x",
     "from_general",
     "full_report",
     "generator",
-    "is_halvable",
-    "is_square_quad",
     "normalize",
     "order",
     "sample_case",
     "sweep_curves",
-    "three_torsion_quartic",
     "torsion_group",
 ]

@@ -22,12 +22,12 @@ Each class owns both directions of its parametrization.  Backward,
 `candidates(c)` lists its witnesses for a curve in ascending order of the
 first parameter: case I solves q = (a^2 - b^2*D)^2 for a in closed form,
 case II refines case I's witness, and cases III-V test one candidate per
-positive divisor pair of n/2, cached for the last n (negating a III-V
-witness keeps its curve, and a case-V witness with u or v < 0 has a
-positive twin at a smaller s); one search serves all five checks, so the
-returned witness is reproducible.  Forward, `lattice(bound)` yields the
-(witness, D) samples that `family.sample_case` filters by `holds(d)`, the
-side conditions.  Every condition forces n even, so odd n lands in Z2.
+positive divisor pair of n/2 (negating a III-V witness keeps its curve, and
+a case-V witness with u or v < 0 has a positive twin at a smaller s); one
+search serves all five checks, so the returned witness is reproducible.
+Forward, `lattice(bound)` yields the (witness, D) samples that
+`family.sample_case` filters by `holds(d)`, the side conditions.  Every
+condition forces n even, so odd n lands in Z2.
 
 `classify` runs a check only when its order can occur.  Cases I, III and V
 each give a rational point of order 4, 3 or 5, and rational torsion injects
@@ -46,7 +46,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, fields
-from functools import lru_cache
 from typing import ClassVar, Iterator, Optional
 
 from . import curve as _curve
@@ -69,11 +68,9 @@ class NonSquareYError(InconsistencyError):
     """A generator x-coordinate produced a non-square y^2 on the curve."""
 
 
-@lru_cache(maxsize=1)
 def _divisor_pairs(n: int) -> tuple[tuple[int, int], ...]:
     """(d, (n/2)/d) for each positive divisor d of n/2, ascending; n is even
-    and nonzero.  One entry: cases III, V and IV scan the same n in turn,
-    and consecutive sweep curves share n."""
+    and nonzero."""
     half = n // 2
     return tuple((d, half // d) for d in divisors(half))
 

@@ -22,10 +22,10 @@ from .classifier import CASES, ClassificationReport, Witness
 # A canonical decimal: what str() writes for an int.  ASCII [0-9], not \d,
 # because int() also reads non-ASCII digits.
 _INT = r"(?:0|-?[1-9][0-9]*)"
-_TOKEN = re.compile(rf"({'|'.join(map(re.escape, CASES))}):({_INT}(?:,{_INT})*)")
+_TOKEN = rf"({'|'.join(map(re.escape, CASES))}):({_INT}(?:,{_INT})*)"
 _LINE = re.compile(
     rf'\{{"m": "({_INT})", "n": "({_INT})", "D": "({_INT})", "class": "(Z{_INT})", '
-    rf'"witness": (?:null|"{_TOKEN.pattern}"), '
+    rf'"witness": (?:null|"{_TOKEN}"), '
     rf'"generator_x": "({_INT})", "generator_y": "({_INT})", '
     rf'"oracle_order": (?:null|"({_INT})"), "agree": (null|true|false)\}}'
 )
@@ -40,18 +40,6 @@ def witness_token(witness: Optional[Witness]) -> Optional[str]:
     if witness is None:
         return None
     return f"{witness.tag}:{','.join(str(p) for p in witness.params)}"
-
-
-def witness_from_token(token: Optional[str]) -> Optional[Witness]:
-    if token is None:
-        return None
-    match = _TOKEN.fullmatch(token) if isinstance(token, str) else None
-    if match is None:
-        raise CorpusFormatError(f"bad witness token {token!r}")
-    try:
-        return _witness(*match.groups())
-    except (ValueError, TypeError) as exc:
-        raise CorpusFormatError(f"bad witness token {token!r}") from exc
 
 
 def _witness(tag: str, params: str) -> Witness:

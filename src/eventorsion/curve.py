@@ -74,9 +74,6 @@ class CurveMND:
             return True
         return point.y * point.y == self.rhs(point.x)
 
-    def to_cubic(self) -> "GeneralCubic":
-        return GeneralCubic(2 * self.m, self.q, 0)
-
     def __str__(self) -> str:
         return f"(m={self.m}, n={self.n}, D={self.D}): y^2 = x^3 + {2 * self.m}*x^2 + {self.q}*x"
 
@@ -146,13 +143,6 @@ class GeneralCubic:
         b8 = 4 * a * c - b * b
         return -b2 * b2 * b8 - 8 * b4**3 - 27 * b6 * b6 + 9 * b2 * b4 * b6
 
-    def j_invariant(self) -> Fraction:
-        disc = self.discriminant()
-        if disc == 0:
-            raise SingularCurveError("j undefined for singular cubic")
-        c4 = 16 * self.a2 * self.a2 - 48 * self.a4
-        return c4**3 / disc
-
 
 @dataclass(frozen=True)
 class NonCyclicReport:
@@ -160,23 +150,6 @@ class NonCyclicReport:
     torsion subgroup is not cyclic and the curve is outside this family."""
 
     roots: tuple[Fraction, Fraction, Fraction]
-
-
-@dataclass(frozen=True)
-class QuadElement:
-    """Element e + f*sqrt(D) of the quadratic field Q(sqrt(D))."""
-
-    e: Fraction
-    f: Fraction
-    D: int
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.e, Fraction):
-            object.__setattr__(self, "e", Fraction(self.e))
-        if not isinstance(self.f, Fraction):
-            object.__setattr__(self, "f", Fraction(self.f))
-        if self.D in (0, 1) or not intmath.is_squarefree(self.D):
-            raise ValueError(f"D={self.D} must be squarefree, not 0 or 1")
 
 
 def normalize(m: int, n: int, d_raw: int) -> CurveMND:
@@ -271,22 +244,6 @@ def _add_raw(c: CurveMND, p: Point, q: Point) -> Point:
     return Point(x3, y3)
 
 
-def add(c: CurveMND, p: Point, q: Point) -> Point:
-    """Chord-tangent group law; infinity is the identity."""
-    _require_on_curve(c, p)
-    _require_on_curve(c, q)
-    return _add_raw(c, p, q)
-
-
-def double_x(c: CurveMND, p: Point) -> int | Fraction:
-    """x(2P) via the closed form ((x^2 - q) / (2y))^2, q = M*N."""
-    _require_on_curve(c, p)
-    if p.is_infinity or p.y == 0:
-        raise ValueError("2P is the point at infinity; x(2P) undefined")
-    t = _exact_div(p.x * p.x - c.q, 2 * p.y)
-    return t * t
-
-
 def _multiples(c: CurveMND, p: Point) -> list[Point] | None:
     """[INFINITY, p, 2p, ..., (k-1)p] for p of order k, or None for infinite
     order.
@@ -312,65 +269,9 @@ def order(c: CurveMND, p: Point) -> int | None:
     return None if multiples is None else len(multiples)
 
 
-def is_square_quad(z: QuadElement) -> QuadElement | None:
-    """Square root of z in Q(sqrt(D)), or None when z is not a square.
-
-    For z = e + f*sqrt(D) with f != 0: z is a square exactly when the norm
-    e^2 - f^2*D is a rational square r^2 and one of (e + r)/2, (e - r)/2 is a
-    nonzero rational square g^2; then h = f / (2g).  For f = 0 both e and
-    e/D are tested directly.  Returned roots are canonicalized positive.
-    """
-    if z.f == 0:
-        if z.e == 0:
-            return QuadElement(0, 0, z.D)
-        g = intmath.rat_sqrt(z.e)
-        if g is not None:
-            return QuadElement(g, 0, z.D)
-        h = intmath.rat_sqrt(z.e / z.D)
-        if h is not None:
-            return QuadElement(0, h, z.D)
-        return None
-    r = intmath.rat_sqrt(z.e * z.e - z.f * z.f * z.D)
-    if r is None:
-        return None
-    for s in (r, -r):
-        g2 = (z.e + s) / 2
-        if g2 <= 0:
-            continue
-        g = intmath.rat_sqrt(g2)
-        if g is None:
-            continue
-        h = z.f / (2 * g)
-        if g * g + h * h * z.D == z.e:
-            return QuadElement(g, h, z.D)
-    return None
-
-
-def is_halvable(c: CurveMND, p: Point) -> bool:
-    """True when p = 2*r for some r over K = Q(sqrt(D)).
-
-    The cubic's roots are 0, -M, -N, so the point halves over K exactly when
-    x, x + M, and x + N are all squares in K; x + N is the conjugate of
-    x + M, so it is a square exactly when x + M is.
-    """
-    _require_on_curve(c, p)
-    if p.is_infinity:
-        raise ValueError("halving test expects an affine point")
-    shifts = (QuadElement(p.x, 0, c.D), QuadElement(p.x + c.m, c.n, c.D))
-    return all(is_square_quad(z) is not None for z in shifts)
-
-
 def three_torsion_coeffs(c: CurveMND) -> list[int]:
     """psi_3 = 3x^4 + 8m*x^3 + 6q*x^2 - q^2, leading coefficient first: it
     vanishes exactly at the x-coordinates of points of order 3 (using
     M + N = 2m, M*N = q)."""
     q = c.q
     return [3, 8 * c.m, 6 * q, 0, -q * q]
-
-
-def three_torsion_quartic(c: CurveMND, x: Fraction | int) -> Fraction | int:
-    """Evaluate psi_3 (`three_torsion_coeffs`) at x."""
-    value = 0
-    for a in three_torsion_coeffs(c):
-        value = value * x + a
-    return value

@@ -19,7 +19,7 @@ from typing import Iterator
 
 from . import curve as _curve
 from . import intmath
-from .classifier import CASES, TorsionClass, Witness
+from .classifier import CASES, InconsistencyError, TorsionClass, Witness
 from .curve import CurveMND
 
 
@@ -64,7 +64,7 @@ def sample_case(case_tag: str, bound: int) -> list[FamilySample]:
         e2 = abs(n) // cur.n
         gx, rem = divmod(gen_x, e2)
         if rem:
-            raise AssertionError(
+            raise InconsistencyError(
                 f"case {case_tag} sample {witness}: generator x {gen_x} "
                 f"does not rescale by {e2}"
             )

@@ -1,8 +1,8 @@
 """Exact integer primitives: perfect squares, integer roots of squarefree
 polynomials of any degree, factorization, squarefree splitting, divisors.
 
-Everything runs on Python's arbitrary-precision integers (and Fraction for
-the one rational helper); no floating point is used anywhere in the package.
+Everything runs on Python's arbitrary-precision integers; no floating point
+is used anywhere in the package.
 
 `integer_roots` solves a squarefree polynomial of any degree p-adically
 (Hensel lifting from a prime at which every root is simple), factors
@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator, NamedTuple, Sequence
 
@@ -100,19 +99,6 @@ def int_sqrt(x: int) -> int | None:
         return None
     r = math.isqrt(x)
     return r if r * r == x else None
-
-
-def rat_sqrt(x: Fraction) -> Fraction | None:
-    """Exact square root of a rational, or None when x is not a square."""
-    if x < 0:
-        return None
-    num = int_sqrt(x.numerator)
-    if num is None:
-        return None
-    den = int_sqrt(x.denominator)
-    if den is None:
-        return None
-    return Fraction(num, den)
 
 
 def _primes() -> Iterator[int]:

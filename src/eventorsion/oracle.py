@@ -80,13 +80,6 @@ class TorsionGroup:
         return f"Z{self.order}"
 
 
-def discriminant(c: CurveMND) -> int:
-    """Discriminant of y^2 = x^3 + 2m*x^2 + q*x in the standard convention:
-    16*q^2*(4m^2 - 4q) = 64*q^2*n^2*D.  Nonzero for every family member."""
-    q = c.q
-    return 64 * q * q * c.n * c.n * c.D
-
-
 # #E(F_p) depends only on (p, 2m mod p, q mod p): _COUNTS[p][a*p + b] is the
 # count for the residues a, b, or 0 until counted (every count is 2..2p + 1,
 # below 256), a fixed sum(p^2) = 10,462 bytes.
@@ -239,9 +232,3 @@ def _assemble(c: CurveMND, gen: Point, found: set[Point]) -> TorsionGroup:
     elements = sorted(multiples[1:], key=lambda p: (p.x, p.y))
     generator = next(p for p in elements if math.gcd(multiples.index(p), total) == 1)
     return TorsionGroup((INFINITY, *elements), generator)
-
-
-def assert_family_shape(group: TorsionGroup) -> bool:
-    """True when the group's order is even, 2..12: a family member's cubic
-    has exactly one rational root, so its torsion is cyclic of even order."""
-    return group.order in (2, 4, 6, 8, 10, 12)

@@ -6,6 +6,7 @@ from math import gcd, prod
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference import add
 
 from eventorsion import classifier as classifier_module
 from eventorsion import curve as curve_module
@@ -29,7 +30,7 @@ from eventorsion.classifier import (
     full_report,
     generator,
 )
-from eventorsion.curve import CurveMND, InvalidCurveError, Point, add, order
+from eventorsion.curve import CurveMND, InvalidCurveError, Point, order
 
 # First curve with full Z12, by sweep order over |m| <= 500, n <= 500,
 # |D| <= 50; frozen after confirming against the enumeration oracle.
@@ -275,25 +276,27 @@ SMALL_DS = (-15, -7, -6, -3, -2, -1, 2, 3, 5, 6, 7, 10, 15)
 
 
 class TestDivisorPairs:
-    def test_memo_is_not_stale(self):
-        # _divisor_pairs keeps one entry; each call must still answer its own n.
-        for n in (24, 36, 24, -24):
+    def test_matches_brute_force(self):
+        for n in (2, 24, 36, -24, 2 * 3 * 5 * 7 * 11):
             half = n // 2
             brute = tuple((d, half // d) for d in range(1, abs(half) + 1) if half % d == 0)
             assert classifier_module._divisor_pairs(n) == brute, n
 
-    def test_one_miss_per_classify(self, monkeypatch):
+    def test_one_factoring_per_scanning_case(self, monkeypatch):
         # C523 has g = 2, which admits neither order 3 nor order 5, so
         # nothing is scanned.  With the bound replaced by 120 = lcm(8, 3, 5),
-        # cases III and V both scan n/2.
-        classifier_module._divisor_pairs.cache_clear()
+        # cases III and V each factor n/2 once; case I finds no witness, so
+        # IV does not run.
+        calls = []
+        divisors = classifier_module.divisors
+        monkeypatch.setattr(
+            classifier_module, "divisors", lambda x: calls.append(x) or divisors(x)
+        )
         assert classify(C523).label == "Z2"
-        info = classifier_module._divisor_pairs.cache_info()
-        assert (info.misses, info.hits) == (0, 0)
+        assert calls == []
         monkeypatch.setattr(classifier_module._oracle, "reduction_bound", lambda c: 120)
         assert classify(C523).label == "Z2"
-        info = classifier_module._divisor_pairs.cache_info()
-        assert (info.misses, info.hits) == (1, 1)
+        assert calls == [1, 1]
 
 
 class TestReferenceScan:

@@ -328,6 +328,18 @@ class TestInconsistencyExit:
         assert err.startswith("inconsistency:")
         assert "impossible torsion structure Z4" in err
 
+    def test_sample_generator_that_does_not_rescale_exits_3(self, capsys, monkeypatch):
+        # The one tuple offered parametrizes (95, 32, 10) scaled by e^2 = 4,
+        # and a generator x of -61 does not divide by 4.
+        lattice = classmethod(lambda cls, bound: iter([(classifier.WitnessV(8, 8, 18, 6), 10)]))
+        monkeypatch.setattr(classifier.WitnessV, "lattice", lattice)
+        monkeypatch.setattr(classifier.WitnessV, "generator_x", lambda self, d: -61)
+        code, out, err = run(capsys, "sample", "V", "18")
+        assert code == EXIT_INCONSISTENT
+        assert out == ""
+        assert err.startswith("inconsistency:")
+        assert "does not rescale by 4" in err
+
 
 class TestMismatchExit:
     """Exit code 1: the run finished, but a cross-check it reports failed.

@@ -7,7 +7,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from eventorsion.classifier import CASES, WitnessII, WitnessIII, WitnessV, full_report
-from eventorsion.corpus import CorpusFormatError, CorpusRecord, witness_from_token, witness_token
+from eventorsion.corpus import CorpusFormatError, CorpusRecord, witness_token
 from eventorsion.curve import CurveMND
 
 FIELD_ORDER = (
@@ -24,22 +24,29 @@ FIELD_ORDER = (
 
 
 class TestWitnessTokens:
+    RECORD = CorpusRecord(3, 2, 2, "Z4", None, -1, 2, 4, True)
+
+    def read(self, token):
+        """The witness from_line reads from a record line carrying token."""
+        payload = {**json.loads(self.RECORD.to_line()), "witness": token}
+        return CorpusRecord.from_line(json.dumps(payload)).witness
+
     def test_none(self):
         assert witness_token(None) is None
-        assert witness_from_token(None) is None
+        assert self.read(None) is None
 
     def test_roundtrip(self):
         w = WitnessV(4, 4, 9, -3)
-        assert witness_from_token(witness_token(w)) == w
+        assert self.read(witness_token(w)) == w
 
     def test_token_shape(self):
         assert witness_token(WitnessII(2, 1, 1)) == "II:2,1,1"
 
     def test_bad_tokens(self):
         with pytest.raises(CorpusFormatError):
-            witness_from_token("IX:1,2")
+            self.read("IX:1,2")
         with pytest.raises(CorpusFormatError):
-            witness_from_token("II:1")
+            self.read("II:1")
 
 
 class TestCorpusRecord:

@@ -1,4 +1,6 @@
-"""The package computes exactly: no float enters src/eventorsion.
+"""The package computes exactly: no float enters src/eventorsion, nor the
+reference helpers in tests/reference.py that the acceptance criteria check
+the package against.
 
 Walks the syntax tree of every module and fails on a float literal (which
 also covers `** 0.5`), a call to `float`, or math's floating-point roots,
@@ -10,8 +12,9 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "eventorsion"
-MODULES = sorted(SRC.glob("*.py"))
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "eventorsion"
+MODULES = [*sorted(SRC.glob("*.py")), TESTS / "reference.py"]
 FLOAT_MATH = ("sqrt", "exp", "log")
 
 

@@ -1,6 +1,6 @@
 import pytest
 
-from eventorsion.classifier import CASES, WitnessV, classify, full_report
+from eventorsion.classifier import CASES, InconsistencyError, WitnessV, classify, full_report
 from eventorsion.curve import Point, normalize, order
 from eventorsion.family import sample_case
 from eventorsion.intmath import int_sqrt
@@ -94,7 +94,7 @@ class TestSampleCase:
     def test_generator_x_that_does_not_rescale_raises(self, monkeypatch):
         self.only_scaled_953210(monkeypatch)
         monkeypatch.setattr(WitnessV, "generator_x", lambda self, d: -61)
-        with pytest.raises(AssertionError, match="does not rescale by 4"):
+        with pytest.raises(InconsistencyError, match="does not rescale by 4"):
             sample_case("V", 18)
 
 

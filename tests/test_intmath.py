@@ -5,6 +5,7 @@ from itertools import islice
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference import rat_sqrt
 
 from eventorsion import intmath
 from eventorsion.curve import CurveMND
@@ -15,7 +16,6 @@ from eventorsion.intmath import (
     int_sqrt,
     integer_roots,
     is_squarefree,
-    rat_sqrt,
     squarefree_split,
 )
 from eventorsion.oracle import five_division_coeffs
