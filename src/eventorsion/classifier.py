@@ -36,9 +36,7 @@ so that order divides the oracle's `reduction_bound` g.  Case I runs only
 when 4 | g, case III when 3 | g and case V when 5 | g, and II and IV still
 ride on I and III.  On most curves g rules out 3 and 5, and then n/2 is
 never factored.  The `--oracle` cross-check shares `reduction_bound` with
-the classifier, so the acceptance sweep checks the filter against the
-unfiltered `case_witnesses`, which like the `check_case_*` functions runs
-every check.
+the classifier; the `check_case_*` functions themselves run unfiltered.
 """
 
 from __future__ import annotations
@@ -454,18 +452,3 @@ def full_report(c: CurveMND, with_oracle: bool = False) -> ClassificationReport:
     group = _oracle.torsion_group(c)
     return ClassificationReport(c, cls, gen, group, group.order == cls.order)
 
-
-def case_witnesses(c: CurveMND) -> dict[str, Witness | None]:
-    """Run all five case checks (case II on top of case I when present).
-
-    Used by consistency sweeps; classify() itself short-circuits and skips
-    the checks the reduction bound rules out.
-    """
-    w1 = check_case_i(c)
-    return {
-        "I": w1,
-        "II": check_case_ii(c, w1) if w1 is not None else None,
-        "III": check_case_iii(c),
-        "IV": check_case_iv(c),
-        "V": check_case_v(c),
-    }

@@ -36,12 +36,6 @@ class CorpusFormatError(ValueError):
     """A corpus line does not parse as a record."""
 
 
-def witness_token(witness: Optional[Witness]) -> Optional[str]:
-    if witness is None:
-        return None
-    return f"{witness.tag}:{','.join(str(p) for p in witness.params)}"
-
-
 def _witness(tag: str, params: str) -> Witness:
     """The witness of a token matched by _TOKEN.  Raises TypeError on a wrong
     parameter count, ValueError on a parameter past the int-string limit."""
@@ -75,7 +69,8 @@ class CorpusRecord:
         )
 
     def to_line(self) -> str:
-        witness = "null" if self.witness is None else f'"{witness_token(self.witness)}"'
+        w = self.witness
+        witness = "null" if w is None else f'"{w.tag}:{",".join(map(str, w.params))}"'
         order = "null" if self.oracle_order is None else f'"{self.oracle_order}"'
         agree = "null" if self.agree is None else "true" if self.agree else "false"
         return (

@@ -107,11 +107,6 @@ class Point:
             return True
         return self.x.denominator == 1 and self.y.denominator == 1
 
-    def __neg__(self) -> "Point":
-        if self.is_infinity:
-            return self
-        return Point(self.x, -self.y)
-
     def __str__(self) -> str:
         if self.is_infinity:
             return "infinity"
@@ -268,10 +263,3 @@ def order(c: CurveMND, p: Point) -> int | None:
     multiples = _multiples(c, p)
     return None if multiples is None else len(multiples)
 
-
-def three_torsion_coeffs(c: CurveMND) -> list[int]:
-    """psi_3 = 3x^4 + 8m*x^3 + 6q*x^2 - q^2, leading coefficient first: it
-    vanishes exactly at the x-coordinates of points of order 3 (using
-    M + N = 2m, M*N = q)."""
-    q = c.q
-    return [3, 8 * c.m, 6 * q, 0, -q * q]

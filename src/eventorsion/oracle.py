@@ -125,26 +125,26 @@ def reduction_bound(c: CurveMND) -> int:
                 return g
 
 
-def _poly_mul(f: list[int], g: list[int]) -> list[int]:
-    out = [0] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        for j, b in enumerate(g):
-            out[i + j] += a * b
-    return out
+def three_torsion_coeffs(c: CurveMND) -> list[int]:
+    """psi_3 = 3x^4 + 8m*x^3 + 6q*x^2 - q^2, leading coefficient first: it
+    vanishes exactly at the x-coordinates of points of order 3 (using
+    M + N = 2m, M*N = q)."""
+    q = c.q
+    return [3, 8 * c.m, 6 * q, 0, -q * q]
 
 
 def five_division_coeffs(c: CurveMND) -> list[int]:
-    """psi_5 = R^2*f_4 - psi_3^3, leading coefficient first, with
-    R = psi_2^2 = 4*rhs(x), f_4 = psi_4/psi_2 and psi_3 from
-    `curve.three_torsion_coeffs`: its roots are the x-coordinates of the
-    points of order 5."""
+    """psi_5, leading coefficient first: its roots are the x-coordinates of
+    the points of order 5.  It is psi_5 = psi_4*psi_2^3 - psi_1*psi_3^3 with
+    y^4 = rhs(x)^2, expanded in m and q."""
     m, q = c.m, c.q
-    r = [4, 8 * m, 4 * q, 0]
-    f4 = [2, 8 * m, 10 * q, 0, -10 * q * q, -8 * m * q * q, -2 * q**3]
-    psi3 = _curve.three_torsion_coeffs(c)
-    left = _poly_mul(_poly_mul(r, r), f4)
-    right = _poly_mul(_poly_mul(psi3, psi3), psi3)
-    return [a - b for a, b in zip(left, right)]
+    mm, qq = m * m, q * q
+    q3, q4 = qq * q, qq * qq
+    return [
+        5, 40 * m, 2 * (32 * mm + 31 * q), 160 * m * q, -105 * qq, -720 * m * qq,
+        -60 * qq * (16 * mm + 5 * q), -32 * m * qq * (16 * mm + 23 * q),
+        -5 * q3 * (128 * mm + 25 * q), -280 * m * q4, -50 * q4 * q, 0, q3 * q3,
+    ]
 
 
 def halving_coeffs(c: CurveMND, x4: int) -> list[int]:
@@ -198,7 +198,7 @@ def torsion_group(c: CurveMND) -> TorsionGroup:
                 two_power = _torsion_points(c, halves, found) or fours
     odd = []
     if bound % 3 == 0:
-        odd += _torsion_points(c, intmath.integer_roots(_curve.three_torsion_coeffs(c)), found)
+        odd += _torsion_points(c, intmath.integer_roots(three_torsion_coeffs(c)), found)
     if bound % 5 == 0:
         odd += _torsion_points(c, intmath.integer_roots(five_division_coeffs(c)), found)
 

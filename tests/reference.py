@@ -1,9 +1,10 @@
 """Reference computations that the tests check the package against.
 
 The package reaches a curve's class and generator without any of these: the
-checked group law, the duplication formula, the j-invariant, psi_3's value
-and the halving test over Q(sqrt(D)).  All arithmetic is exact: ints and
-Fractions, no floats (tests/test_exactness.py walks this module too).
+checked group law, the duplication formula, the j-invariant, a polynomial's
+value, the halving test over Q(sqrt(D)) and the unfiltered case checks.  All
+arithmetic is exact: ints and Fractions, no floats (tests/test_exactness.py
+walks this module too).
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from eventorsion import intmath
+from eventorsion import classifier, intmath
 from eventorsion.curve import (
     CurveMND,
     GeneralCubic,
@@ -131,3 +132,17 @@ def is_halvable(c: CurveMND, p: Point) -> bool:
         raise ValueError("halving test expects an affine point")
     shifts = (QuadElement(p.x, 0, c.D), QuadElement(p.x + c.m, c.n, c.D))
     return all(is_square_quad(z) is not None for z in shifts)
+
+
+def case_witnesses(c: CurveMND) -> dict[str, classifier.Witness | None]:
+    """Run all five case checks (case II on top of case I when present),
+    with none of the reduction-bound filter that `classify` applies.  The
+    checks are read through the module, so a spy on them sees each call."""
+    w1 = classifier.check_case_i(c)
+    return {
+        "I": w1,
+        "II": classifier.check_case_ii(c, w1) if w1 is not None else None,
+        "III": classifier.check_case_iii(c),
+        "IV": classifier.check_case_iv(c),
+        "V": classifier.check_case_v(c),
+    }

@@ -11,19 +11,24 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 import pytest
-from reference import add, double_x, evaluate, is_halvable
+from reference import add, case_witnesses, double_x, evaluate, is_halvable
 
 from eventorsion.classifier import (
-    case_witnesses,
     check_case_i,
     check_case_iii,
     check_case_iv,
+    classify,
     full_report,
 )
-from eventorsion.curve import CurveMND, Point, order, three_torsion_coeffs
+from eventorsion.curve import CurveMND, Point, order
 from eventorsion.family import sample_case, sweep_curves
 from eventorsion.intmath import int_sqrt, is_squarefree
-from eventorsion.oracle import reduction_bound, torsion_group
+from eventorsion.oracle import (
+    five_division_coeffs,
+    reduction_bound,
+    three_torsion_coeffs,
+    torsion_group,
+)
 
 SWEEP_BOUNDS = (60, 60, 30)
 Z12_BOUNDS = (500, 500, 50)
@@ -80,6 +85,18 @@ def _tree_witness(ws):
     return ws["V"] if ws["III"] is None else ws["III"]
 
 
+def _bound_violations(c, witness, ws):
+    """classify skips the checks the reduction bound g rules out: the
+    unfiltered witnesses ws must reach the classifier's witness, and each
+    witness found must have an order that divides g.  Each violation is
+    (curve, g, what failed)."""
+    key, g = (c.m, c.n, c.D), reduction_bound(c)
+    violations = [(key, g, tag) for tag, w in ws.items() if w is not None and g % w.order]
+    if _tree_witness(ws) != witness:
+        violations.append((key, g, "unfiltered tree differs"))
+    return violations
+
+
 @dataclass
 class SweepData:
     bounds: tuple
@@ -88,7 +105,7 @@ class SweepData:
     disagreements: list = field(default_factory=list)
     shape_violations: list = field(default_factory=list)
     nonintegral_points: list = field(default_factory=list)
-    quartic_violations: list = field(default_factory=list)
+    division_violations: list = field(default_factory=list)
     parity_violations: list = field(default_factory=list)
     duplication_mismatches: list = field(default_factory=list)
     doubling_mismatches: list = field(default_factory=list)
@@ -126,10 +143,11 @@ def sweep() -> SweepData:
                 data.nonintegral_points.append((key, str(p)))
             if p.y != 0 and double_x(c, p) != add(c, p, p).x:
                 data.duplication_mismatches.append((key, str(p)))
-        if group.order % 3 == 0:
-            for p in affine:
-                if order(c, p) == 3 and evaluate(three_torsion_coeffs(c), p.x) != 0:
-                    data.quartic_violations.append((key, str(p)))
+        for k, condition in ((3, three_torsion_coeffs), (5, five_division_coeffs)):
+            if group.order % k == 0:
+                for p in affine:
+                    if order(c, p) == k and evaluate(condition(c), p.x) != 0:
+                        data.division_violations.append((key, k, str(p)))
         if c.n % 2 and cls.order != 2:
             data.parity_violations.append((key, cls.label))
 
@@ -147,15 +165,7 @@ def sweep() -> SweepData:
         if (ws["IV"] is not None) != (has_i and has_iii):
             data.tree_violations.append((key, "IV does not match I-and-III"))
 
-        # classify skips the checks the reduction bound rules out; the
-        # unfiltered checks must reach the same witness, and each witness
-        # found must have an order the bound admits.
-        g = reduction_bound(c)
-        if _tree_witness(ws) != cls.witness:
-            data.bound_violations.append((key, g, "unfiltered tree differs"))
-        for tag, w in ws.items():
-            if w is not None and g % w.order:
-                data.bound_violations.append((key, g, tag))
+        data.bound_violations += _bound_violations(c, cls.witness, ws)
         if has_i:
             w = ws["I"]
             forbidden = -(w.a**2 - w.b**2 * c.D)
@@ -273,12 +283,13 @@ def test_criterion_4_doubling_identities(sweep):
 def test_criterion_5_structural_invariants(sweep):
     assert not sweep.shape_violations, sweep.shape_violations
     assert not sweep.nonintegral_points, sweep.nonintegral_points
-    assert not sweep.quartic_violations, sweep.quartic_violations
+    assert not sweep.division_violations, sweep.division_violations
     assert not sweep.parity_violations, sweep.parity_violations
     assert not sweep.duplication_mismatches, sweep.duplication_mismatches
     print(
-        "criterion 5 PASS: cyclic even orders, integral coordinates, order-3 "
-        f"quartic, odd-n parity, duplication formula on {sweep.total} curves"
+        "criterion 5 PASS: cyclic even orders, integral coordinates, psi_3 and "
+        f"psi_5 at order-3 and order-5 points, odd-n parity, duplication formula on "
+        f"{sweep.total} curves"
     )
 
 
@@ -328,8 +339,20 @@ def test_decision_tree_consistency_across_sweep(sweep):
 
 def test_reduction_bound_filter_across_sweep(sweep):
     # classify runs cases I, III and V only when g admits order 4, 3 or 5.
-    assert not sweep.bound_violations, sweep.bound_violations
+    # Most sweep curves have g = 2 and skip every check, so the family
+    # samples, all with g > 2, are checked as well.
+    samples = [
+        s.curve
+        for tag, bound in (("I", 10), ("II", 10), ("III", 10), ("V", 30), ("IV", 25))
+        for s in sample_case(tag, bound)
+    ]
+    violations, bounds = list(sweep.bound_violations), Counter()
+    for c in samples:
+        violations += _bound_violations(c, classify(c).witness, case_witnesses(c))
+        bounds[reduction_bound(c)] += 1
+    assert not violations, violations
     print(
-        f"reduction-bound filter PASS on {sweep.total} curves: unfiltered "
-        "checks give the classifier's witness, every witness order divides g"
+        f"reduction-bound filter PASS on {sweep.total} sweep curves and "
+        f"{len(samples)} family samples (g: {dict(sorted(bounds.items()))}): "
+        "unfiltered checks give the classifier's witness, every witness order divides g"
     )

@@ -6,7 +6,7 @@ from math import gcd, prod
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference import add
+from reference import add, case_witnesses
 
 from eventorsion import classifier as classifier_module
 from eventorsion import curve as curve_module
@@ -20,7 +20,6 @@ from eventorsion.classifier import (
     WitnessIII,
     WitnessIV,
     WitnessV,
-    case_witnesses,
     check_case_i,
     check_case_ii,
     check_case_iii,

@@ -27,8 +27,8 @@ from eventorsion.curve import (
     from_general,
     normalize,
     order,
-    three_torsion_coeffs,
 )
+from eventorsion.oracle import three_torsion_coeffs
 
 C322 = CurveMND(3, 2, 2)
 C323 = CurveMND(3, 2, 3)
@@ -216,7 +216,7 @@ class TestGroupLaw:
 
     def test_inverse(self):
         p = Point(-1, 2)
-        assert add(C322, p, -p) == INFINITY
+        assert add(C322, p, Point(p.x, -p.y)) == INFINITY
 
     def test_off_curve_rejected(self):
         with pytest.raises(PointNotOnCurveError):
@@ -248,16 +248,12 @@ class TestGroupLaw:
         with pytest.raises(ValueError):
             Point(1, None)
 
-    def test_infinity_is_its_own_negative(self):
-        assert -INFINITY is INFINITY
-
     def test_scalar_multiples(self):
         p = Point(-1, 2)
         p2 = add(C322, p, p)
         assert p2 == Point(0, 0)
         assert add(C322, p2, p2) == INFINITY
-        assert -p == Point(-1, -2)
-        assert add(C322, p, -p) == INFINITY
+        assert add(C322, p, Point(-1, -2)) == INFINITY
         assert order(C322, p) == 4
 
 

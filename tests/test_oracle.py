@@ -16,13 +16,13 @@ from eventorsion.curve import (
     Point,
     normalize,
     order,
-    three_torsion_coeffs,
 )
 from eventorsion.family import sample_case, sweep_curves
 from eventorsion.oracle import (
     MAZUR_CYCLIC_ORDERS,
     TorsionGroup,
     reduction_bound,
+    three_torsion_coeffs,
     torsion_group,
 )
 
