@@ -23,12 +23,16 @@ odd prime p of good reduction, rational torsion injects into E(F_p)
 (Silverman, AEC VII.3.1 with VII.3.4), so #T divides the gcd g of #E(F_p)
 over the first six odd primes not dividing the discriminant 64q^2*n^2*D,
 that is, not dividing q*n*D.  Only finitely many do, and (0, 0) stays of
-order 2 mod p, so g is even and at least 2.  A condition of order k is
-solved only when k divides g, so when g = 2 (for a family member, T = Z/2)
-nothing is solved.  The classifier reads the same bound to skip the case
-checks it rules out, but nothing here uses the classifier: the structural
-inputs are the integrality of torsion points, the group law, the injection
-theorem and Mazur's list of cyclic orders.
+order 2 mod p, so g is even and at least 2.  When g = 2, #T divides 2
+and (0, 0) is in T, so the group {infinity, (0, 0)} is returned at once,
+before any point is built.  That skips the check for three points of
+order 2, which cannot fail there: with full rational 2-torsion, E(F_p)
+contains Z/2 x Z/2 at every good odd p, so 4 divides g.  Otherwise a
+condition of order k is solved only when k divides g.  The classifier
+reads the same bound to skip the case checks it rules out, but nothing
+here uses the classifier: the structural inputs are the integrality of
+torsion points, the group law, the injection theorem and Mazur's list of
+cyclic orders.
 """
 
 from __future__ import annotations
@@ -78,6 +82,10 @@ class TorsionGroup:
     @property
     def structure(self) -> str:
         return f"Z{self.order}"
+
+
+# The group when the reduction bound is 2: #T divides 2 and (0, 0) is in T.
+_Z2 = TorsionGroup((INFINITY, Point(0, 0)), Point(0, 0))
 
 
 # #E(F_p) depends only on (p, 2m mod p, q mod p): _COUNTS[p][a*p + b] is the
@@ -173,10 +181,14 @@ def _torsion_points(c: CurveMND, xs: Iterable[int], found: set[Point]) -> list[P
 def torsion_group(c: CurveMND) -> TorsionGroup:
     """Find the full rational torsion group of the curve.
 
-    Each torsion condition is solved only when the reduction bound g allows
-    its order: order 4 when 4 | g, order 8 when 8 | g, order 3 when 3 | g,
-    order 5 when 5 | g (none when g = 2).
+    When the reduction bound g is 2 the group is {infinity, (0, 0)},
+    returned before any point is built.  Otherwise each torsion condition
+    is solved only when g allows its order: order 4 when 4 | g, order 8
+    when 8 | g, order 3 when 3 | g, order 5 when 5 | g.
     """
+    bound = reduction_bound(c)
+    if bound == 2:
+        return _Z2
     m, q = c.m, c.q
     # Every point with y = 0 has order 2: x = 0 and, when r is an integer,
     # the roots -m +- r of x^2 + 2m*x + q.
@@ -184,7 +196,6 @@ def torsion_group(c: CurveMND) -> TorsionGroup:
     xs = (0,) if r is None else (0, -m - r, -m + r)
     two_power = [Point(x, 0) for x in xs]
     found = set(two_power)
-    bound = reduction_bound(c)
 
     # (0, 0) is the only rational point of order 2, so a point of order 4
     # has x(2P) = ((x^2 - q) / (2y))^2 = 0: x = +-sqrt(q).

@@ -321,6 +321,21 @@ class TestReductionBound:
         assert _unbounded(C523).structure == "Z2"
         assert enumerations == [C523] * 3
 
+    def test_settled_curve_builds_no_point(self):
+        def fail(*args):
+            raise AssertionError("called at g = 2")
+
+        with pytest.MonkeyPatch.context() as mp:
+            for target, name in [
+                (oracle, "_assemble"),
+                (oracle._curve, "_multiples"),
+                (oracle.intmath, "int_sqrt"),
+            ]:
+                mp.setattr(target, name, fail)
+            group = torsion_group(C523)
+        assert group == TorsionGroup((INFINITY, Point(0, 0)), Point(0, 0))
+        assert group == _unbounded(C523)
+
     def test_z8_curve_halves_its_order_four_point(self, enumerations):
         # With g = 120 every condition is solved; q = 81, and the order-4
         # point (9, 72) of this Z8 curve is halved, so four solves run.
@@ -513,6 +528,9 @@ class TestFullTwoTorsion:
             object.__setattr__(c, name, value)
         cap = 1 + max(abs(2 * m), abs(c.q))
         assert [x for x in range(-cap, cap + 1) if c.rhs(x) == 0] == roots
+        # Full rational 2-torsion puts Z/2 x Z/2 in every E(F_p), so g is
+        # never 2 and the g = 2 return cannot skip the check below.
+        assert reduction_bound(c) % 4 == 0
         seen = []
         assemble = oracle._assemble
 
