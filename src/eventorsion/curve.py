@@ -8,9 +8,9 @@ which expands over the rationals to the integral model
 
     y^2 = x^3 + 2m*x^2 + q*x,       q = M*N = m^2 - n^2*D.
 
-All arithmetic is exact.  An integral coordinate is an int; a Fraction
-appears only where the exact result is not an integer, so the group law on
-the model's torsion points, all integral (Nagell-Lutz), runs on ints.
+All arithmetic is exact.  The model's torsion points are integral
+(Nagell-Lutz), so points hold ints and the group law stops at the first
+slope that is not an integer.
 """
 
 from __future__ import annotations
@@ -65,7 +65,7 @@ class CurveMND:
         """Linear coefficient q = M*N = m^2 - n^2*D."""
         return self.m * self.m - self.n * self.n * self.D
 
-    def rhs(self, x: Fraction | int) -> Fraction | int:
+    def rhs(self, x: int) -> int:
         """Right-hand side x^3 + 2m*x^2 + q*x of the curve equation."""
         return ((x + 2 * self.m) * x + self.q) * x
 
@@ -80,32 +80,23 @@ class CurveMND:
 
 @dataclass(frozen=True)
 class Point:
-    """Affine point with exact int or Fraction coordinates, or infinity.
+    """Affine point with int coordinates, or infinity.
 
     Point() is the point at infinity; module constant INFINITY is provided.
     """
 
-    x: int | Fraction | None = None
-    y: int | Fraction | None = None
+    x: int | None = None
+    y: int | None = None
 
     def __post_init__(self) -> None:
         if (self.x is None) != (self.y is None):
             raise ValueError("both coordinates or neither")
-        if self.x is not None and not (
-            isinstance(self.x, (int, Fraction)) and isinstance(self.y, (int, Fraction))
-        ):
-            raise TypeError(f"coordinates must be int or Fraction: {self!r}")
+        if self.x is not None and not (isinstance(self.x, int) and isinstance(self.y, int)):
+            raise TypeError(f"coordinates must be int: {self!r}")
 
     @property
     def is_infinity(self) -> bool:
         return self.x is None
-
-    @property
-    def is_integral(self) -> bool:
-        """True for infinity and for affine points with integer coordinates."""
-        if self.is_infinity:
-            return True
-        return self.x.denominator == 1 and self.y.denominator == 1
 
     def __str__(self) -> str:
         if self.is_infinity:
@@ -217,13 +208,10 @@ def _require_on_curve(c: CurveMND, point: Point) -> None:
         raise PointNotOnCurveError(f"{point} is not on {c}")
 
 
-def _exact_div(a: int | Fraction, b: int | Fraction) -> int | Fraction:
-    """a / b exactly: the int quotient when b divides a, else a Fraction."""
-    quotient, remainder = divmod(a, b)
-    return quotient if remainder == 0 else Fraction(a, b)
-
-
-def _add_raw(c: CurveMND, p: Point, q: Point) -> Point:
+def _add_raw(c: CurveMND, p: Point, q: Point) -> Point | None:
+    """p + q, or None when the slope is not an integer.  Then
+    x(p + q) = slope^2 - 2m - x(p) - x(q) is not an integer either, so the
+    sum is not a torsion point (Nagell-Lutz)."""
     if p.is_infinity:
         return q
     if q.is_infinity:
@@ -231,34 +219,39 @@ def _add_raw(c: CurveMND, p: Point, q: Point) -> Point:
     if p.x == q.x:
         if p.y == -q.y:
             return INFINITY
-        lam = _exact_div(3 * p.x * p.x + 4 * c.m * p.x + c.q, 2 * p.y)
+        lam, rem = divmod(3 * p.x * p.x + 4 * c.m * p.x + c.q, 2 * p.y)
     else:
-        lam = _exact_div(q.y - p.y, q.x - p.x)
+        lam, rem = divmod(q.y - p.y, q.x - p.x)
+    if rem:
+        return None
     x3 = lam * lam - 2 * c.m - p.x - q.x
     y3 = lam * (p.x - x3) - p.y
     return Point(x3, y3)
 
 
-def _multiples(c: CurveMND, p: Point) -> list[Point] | None:
+def _multiples(c: CurveMND, p: Point | None) -> list[Point] | None:
     """[INFINITY, p, 2p, ..., (k-1)p] for p of order k, or None for infinite
     order.
 
-    Torsion orders are capped at MAX_TORSION_ORDER (Mazur), and any
-    multiple with a non-integer coordinate proves infinite order on this
-    integral model, so the walk stops there.
+    Torsion orders are capped at MAX_TORSION_ORDER (Mazur), and a multiple
+    that `_add_raw` cannot build as an integral point proves infinite order
+    on this integral model, so the walk stops there.  A None p, a sum that
+    was not integral, gets None too.
     """
     multiples = [INFINITY]
     acc = p
-    while not acc.is_infinity:
-        if not acc.is_integral or len(multiples) == MAX_TORSION_ORDER:
+    while acc is not None and not acc.is_infinity:
+        if len(multiples) == MAX_TORSION_ORDER:
             return None
         multiples.append(acc)
         acc = _add_raw(c, acc, p)
-    return multiples
+    return None if acc is None else multiples
 
 
 def order(c: CurveMND, p: Point) -> int | None:
-    """Order of p, or None for infinite order: see `_multiples`."""
+    """Order of p, or None for infinite order: some multiple has a slope
+    that is not an integer, or p has no order up to MAX_TORSION_ORDER (see
+    `_multiples`)."""
     _require_on_curve(c, p)
     multiples = _multiples(c, p)
     return None if multiples is None else len(multiples)

@@ -215,14 +215,15 @@ def torsion_group(c: CurveMND) -> TorsionGroup:
 
     # Mazur leaves a cyclic group of even order at most 12, so its odd part
     # has order 1, 3 or 5 and it is generated by its largest 2-power point
-    # plus an odd-order point.
+    # plus an odd-order point.  Their sum is integral; were it not, it
+    # would be None here and `_assemble` would raise.
     gen = two_power[0]
     if odd:
         gen = _curve._add_raw(c, gen, odd[0])
     return _assemble(c, gen, found)
 
 
-def _assemble(c: CurveMND, gen: Point, found: set[Point]) -> TorsionGroup:
+def _assemble(c: CurveMND, gen: Point | None, found: set[Point]) -> TorsionGroup:
     """The group of gen's multiples, checked to be cyclic of an order in
     Mazur's list and to contain every point found."""
     # x^2 + 2m*x + q has discriminant 4n^2*D, never a square for squarefree
@@ -232,7 +233,10 @@ def _assemble(c: CurveMND, gen: Point, found: set[Point]) -> TorsionGroup:
         raise OracleError(f"{c}: {len(two_torsion)} points of order 2")
     multiples = _curve._multiples(c, gen)
     if multiples is None:
-        raise OracleError(f"{c}: {gen} has no order up to {_curve.MAX_TORSION_ORDER}")
+        raise OracleError(
+            f"{c}: {gen or 'a non-integral sum'} has no order up to "
+            f"{_curve.MAX_TORSION_ORDER}"
+        )
     total = len(multiples)
     if total not in MAZUR_CYCLIC_ORDERS:
         raise OracleError(f"{c}: impossible torsion structure Z{total}")

@@ -19,13 +19,13 @@ from eventorsion.curve import (
     Point,
     SingularCurveError,
     _add_raw,
-    _exact_div,
     _require_on_curve,
 )
 
 
-def add(c: CurveMND, p: Point, q: Point) -> Point:
-    """Chord-tangent group law; infinity is the identity."""
+def add(c: CurveMND, p: Point, q: Point) -> Point | None:
+    """Chord-tangent group law; infinity is the identity.  None when the
+    slope, and so the sum, is not integral."""
     _require_on_curve(c, p)
     _require_on_curve(c, q)
     return _add_raw(c, p, q)
@@ -36,7 +36,8 @@ def double_x(c: CurveMND, p: Point) -> int | Fraction:
     _require_on_curve(c, p)
     if p.is_infinity or p.y == 0:
         raise ValueError("2P is the point at infinity; x(2P) undefined")
-    t = _exact_div(p.x * p.x - c.q, 2 * p.y)
+    num, den = p.x * p.x - c.q, 2 * p.y
+    t = num // den if num % den == 0 else Fraction(num, den)
     return t * t
 
 

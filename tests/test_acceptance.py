@@ -139,7 +139,7 @@ def sweep() -> SweepData:
             data.shape_violations.append((key, group.structure))
         affine = [p for p in group.elements if not p.is_infinity]
         for p in affine:
-            if not p.is_integral:
+            if not (type(p.x) is int and type(p.y) is int):
                 data.nonintegral_points.append((key, str(p)))
             if p.y != 0 and double_x(c, p) != add(c, p, p).x:
                 data.duplication_mismatches.append((key, str(p)))

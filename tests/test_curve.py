@@ -233,16 +233,18 @@ class TestGroupLaw:
         for p, q, r in product(pts, repeat=3):
             assert add(c, add(c, p, q), r) == add(c, p, add(c, q, r))
 
-    def test_non_integral_sum_has_fraction_coordinates(self):
-        c = CurveMND(0, 1, 2)  # y^2 = x^3 - 2x
-        p2 = add(c, Point(2, 2), Point(2, 2))
-        assert p2 == Point(Fraction(9, 4), Fraction(-21, 8))
-        assert type(p2.x) is Fraction and type(p2.y) is Fraction
-        assert c.contains(p2)
+    def test_non_integral_chord_is_none(self):
+        # y^2 = x^3 - 12x^2 + 33x; the slope from (0, 0) to (4, 2) is 1/2.
+        assert add(CurveMND(-6, 1, 3), Point(0, 0), Point(4, 2)) is None
 
-    def test_float_coordinate_rejected(self):
+    def test_non_integral_tangent_is_none(self):
+        # y^2 = x^3 - 2x; the tangent slope at (2, 2) is 10/4.
+        assert add(CurveMND(0, 1, 2), Point(2, 2), Point(2, 2)) is None
+
+    @pytest.mark.parametrize("x", [1.5, Fraction(9, 4)], ids=["float", "fraction"])
+    def test_float_coordinate_rejected(self, x):
         with pytest.raises(TypeError):
-            Point(1.5, 2)
+            Point(x, 2)
 
     def test_half_a_point_rejected(self):
         with pytest.raises(ValueError):
@@ -294,12 +296,6 @@ class TestOrder:
     def test_infinite_order_detected_by_non_integral_multiple(self):
         c = CurveMND(0, 1, 2)  # y^2 = x^3 - 2x
         assert order(c, Point(2, 2)) is None
-
-    def test_non_integral_point_is_infinite_order(self):
-        c = CurveMND(0, 1, 2)
-        p = Point(Fraction(9, 4), Fraction(-21, 8))  # 2 * (2, 2)
-        assert c.contains(p)
-        assert order(c, p) is None
 
 
 class TestQuadraticFieldSquares:

@@ -168,7 +168,7 @@ class TestTorsionGroup:
     def test_integer_coordinates(self):
         for triple, _ in PINNED:
             for p in torsion_group(CurveMND(*triple)).elements:
-                assert p.is_integral
+                assert p.is_infinity or (type(p.x) is int and type(p.y) is int)
 
     def test_integral_points_stay_ints(self):
         def ints(p):
@@ -562,6 +562,14 @@ class TestAssemble:
         assert c.contains(Point(2, 2)) and order(c, Point(2, 2)) is None
         with pytest.raises(oracle.OracleError, match=r"\(2, 2\) has no order up to 12"):
             oracle._assemble(c, Point(2, 2), {Point(0, 0), Point(2, 2)})
+
+    def test_non_integral_sum_fails_loudly(self, monkeypatch):
+        # A forged order-3 condition with root x = 4 gives the non-torsion
+        # point (4, 2); its sum with (0, 0) has slope 1/2, so no integral
+        # generator exists.
+        monkeypatch.setattr(oracle, "three_torsion_coeffs", lambda c: [1, -4])
+        with pytest.raises(oracle.OracleError, match="has no order up to 12"):
+            _unbounded(CurveMND(-6, 1, 3))
 
     def test_label_outside_mazur_list(self, monkeypatch):
         without_four = tuple(k for k in MAZUR_CYCLIC_ORDERS if k != 4)
