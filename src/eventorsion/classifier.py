@@ -56,6 +56,9 @@ from .intmath import divisors, int_sqrt, is_squarefree, squarefree_split
 # (bound 1 already reaches D = 2).
 _D_RANGE_FACTOR = 2
 
+# The generator of every Z2 report: rhs(0) = 0 and 2*(0, 0) = infinity.
+_ORIGIN = Point(0, 0)
+
 
 class InconsistencyError(RuntimeError):
     """A cross-check between the case criteria failed.  This signals a bug
@@ -439,14 +442,23 @@ def generator(c: CurveMND, cls: TorsionClass) -> Point:
 
 def full_report(c: CurveMND, with_oracle: bool = False) -> ClassificationReport:
     """Classify, build the generator, and optionally cross-check against the
-    independent group oracle."""
+    independent group oracle.
+
+    A Z2 report takes (0, 0) as its generator without calling `generator`
+    or `order`: rhs(0) = 0 puts (0, 0) on every curve, and with y = 0 it
+    doubles to infinity.  A witness class builds its generator and checks
+    that its order is the class's order.
+    """
     cls = classify(c)
-    gen = generator(c, cls)
-    k = _curve.order(c, gen)
-    if k != cls.order:
-        raise InconsistencyError(
-            f"{c}: generator {gen} has order {k}, expected {cls.order}"
-        )
+    if cls.witness is None:
+        gen = _ORIGIN
+    else:
+        gen = generator(c, cls)
+        k = _curve.order(c, gen)
+        if k != cls.order:
+            raise InconsistencyError(
+                f"{c}: generator {gen} has order {k}, expected {cls.order}"
+            )
     if not with_oracle:
         return ClassificationReport(c, cls, gen, None, None)
     group = _oracle.torsion_group(c)

@@ -19,6 +19,7 @@ from eventorsion.classifier import (
     check_case_iv,
     classify,
     full_report,
+    generator,
 )
 from eventorsion.curve import CurveMND, Point, order
 from eventorsion.family import sample_case, sweep_curves
@@ -113,6 +114,7 @@ class SweepData:
     forbidden_x_hits: list = field(default_factory=list)
     tree_violations: list = field(default_factory=list)
     bound_violations: list = field(default_factory=list)
+    z2_generator_mismatches: list = field(default_factory=list)
 
 
 @pytest.fixture(scope="session")
@@ -133,6 +135,12 @@ def sweep() -> SweepData:
         # criterion 4: stated doubling identities (exact)
         if cls.order > 2:
             data.doubling_mismatches += _doubling_mismatches(c, cls, gen)
+        else:
+            # a Z2 report skips generator and order; run both here instead
+            built = generator(c, cls)
+            k = order(c, built)
+            if gen != built or k != 2:
+                data.z2_generator_mismatches.append((key, str(gen), str(built), k))
 
         # criterion 5: structural invariants
         if group.order not in (2, 4, 6, 8, 10, 12):
@@ -277,6 +285,18 @@ def test_criterion_4_doubling_identities(sweep):
     print(
         f"criterion 4 PASS: doubling identities exact on {sweep.total} sweep "
         f"curves and {len(extra)} pinned and family curves ({counts})"
+    )
+
+
+def test_z2_report_generator_matches_library(sweep):
+    assert sweep.class_counts["Z2"] > 0
+    assert not sweep.z2_generator_mismatches, (
+        "(curve, report generator, generator(c, cls), its order): "
+        f"{sweep.z2_generator_mismatches}"
+    )
+    print(
+        f"Z2 generator PASS: on {sweep.class_counts['Z2']} of {sweep.total} sweep "
+        "curves the report's (0, 0) equals generator(c, cls), of order 2"
     )
 
 

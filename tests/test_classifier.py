@@ -593,6 +593,20 @@ class TestLayerAttributes:
             full_report(c)
         assert calls == Counter({**self.CLASSIFY_CHECKS, "generator": 3, "order": 3})
 
+    # Z2 by odd n, and Z2 by g = 2 at even n: the report takes (0, 0) as
+    # its generator and calls neither generator nor order, oracle or not.
+    Z2_CURVES = (CurveMND(5, 3, 2), C523)
+
+    @pytest.mark.parametrize("with_oracle", [False, True])
+    def test_full_report_z2_skips_generator_and_order(self, calls, with_oracle):
+        for c in self.Z2_CURVES:
+            rep = full_report(c, with_oracle=with_oracle)
+            assert rep.cls.witness is None
+            assert rep.generator == Point(0, 0)
+            assert rep.agree is (True if with_oracle else None)
+        assert calls["generator"] == 0
+        assert calls["order"] == 0
+
     def test_case_witnesses(self, calls):
         for c in self.CURVES:
             case_witnesses(c)
