@@ -49,7 +49,8 @@ from .curve import INFINITY, CurveMND, Point
 # rational points of order 2, which no family member has.
 MAZUR_CYCLIC_ORDERS = (*range(1, 11), 12)
 
-# The odd primes whose #E(F_p) is memoized, and how many good primes g takes.
+# The odd primes whose #E(F_p) is tabulated at import by the orbit identity
+# (see `_count_table`), and how many good primes g takes.
 _REDUCTION_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 _REDUCTION_PRIME_COUNT = 6
 
@@ -57,9 +58,6 @@ _REDUCTION_PRIME_COUNT = 6
 def _quadratic_character(p: int) -> tuple[int, ...]:
     """chi_p(r) for r = 0..p-1 by Euler's criterion, r^((p-1)/2) mod p."""
     return tuple([(pow(r, (p - 1) // 2, p) + 1) % p - 1 for r in range(p)])
-
-
-_CHARACTERS = {p: _quadratic_character(p) for p in _REDUCTION_PRIMES}
 
 
 class OracleError(RuntimeError):
@@ -88,19 +86,47 @@ class TorsionGroup:
 _Z2 = TorsionGroup((INFINITY, Point(0, 0)), Point(0, 0))
 
 
+def _count_row(p: int, a: int, chi: tuple[int, ...]) -> bytes:
+    """Row a of the count table, counted directly.
+
+    Byte b is 2 + sum_{x != 0} (1 + chi(x)*chi(b + x^2 + a*x)) = #E(F_p),
+    since each term is 1 + chi(x^3 + a*x^2 + b*x).  Over b, term x is the
+    0..2 byte string of 1 +- chi rotated by x^2 + a*x, so the row is a sum
+    of p - 1 such strings read as little-endian ints: every byte stays at
+    most 2p < 256, so no sum carries from one byte into the next.
+    """
+    plus = bytes([1 + v for v in chi]) * 2
+    minus = bytes([1 - v for v in chi]) * 2
+    total = int.from_bytes(b"\2" * p, "little")
+    for x in range(1, p):
+        d = (x + a) * x % p
+        total += int.from_bytes((plus if chi[x] > 0 else minus)[d : d + p], "little")
+    return total.to_bytes(p, "little")
+
+
+def _count_table(p: int) -> bytes:
+    """#E(F_p) for y^2 = x^3 + a*x^2 + b*x at byte a*p + b, for 0 <= a, b < p.
+
+    Rows 0 and 1 are counted directly.  Every other row comes from row 1 by
+    the substitution x -> a*x (the quadratic twist by a; Silverman, AEC
+    III.1): with S(a, b) = sum_x chi(x^3 + a*x^2 + b*x) = #E(F_p) - p - 1,
+    S(a, b) = chi(a)*S(1, b/a^2).  Byte b of (row * c)[::c] is byte b*c mod p
+    of row, and the twist takes each count N to 2p + 2 - N.
+    """
+    chi = _quadratic_character(p)
+    row1 = _count_row(p, 1, chi)
+    twist = row1.translate(bytes(range(2 * p + 2, -1, -1)).ljust(256, b"\0"))
+    rows = [_count_row(p, 0, chi)]
+    for a in range(1, p):
+        c = pow(a, -2, p)
+        rows.append(((row1 if chi[a] > 0 else twist) * c)[::c])
+    return b"".join(rows)
+
+
 # #E(F_p) depends only on (p, 2m mod p, q mod p): _COUNTS[p][a*p + b] is the
-# count for the residues a, b, or 0 until counted (every count is 2..2p + 1,
-# below 256), a fixed sum(p^2) = 10,462 bytes.
-_COUNTS = {p: bytearray(p * p) for p in _REDUCTION_PRIMES}
-
-
-def _point_count(p: int, a: int, b: int) -> int:
-    """`_direct_count`, memoized per residue class."""
-    counts = _COUNTS[p]
-    count = counts[a * p + b]
-    if not count:
-        count = counts[a * p + b] = _direct_count(p, a, b, _CHARACTERS[p])
-    return count
+# count for the residues a, b (every count is 2..2p, below 256), a fixed
+# sum(p^2) = 10,462 bytes, tabulated once at import (about 1 ms on Py 3.11).
+_COUNTS = {p: _count_table(p) for p in _REDUCTION_PRIMES}
 
 
 def _direct_count(p: int, a: int, b: int, chi: tuple[int, ...]) -> int:
@@ -113,15 +139,16 @@ def reduction_bound(c: CurveMND) -> int:
 
     An odd p divides the discriminant 64q^2*n^2*D exactly when it divides
     q*n*D, so those primes are skipped; the gcd stops early at 2, the least
-    it can be since (0, 0) has order 2.  Up to 47 the counts come from the
-    `_point_count` memo; only curves with most of those primes bad go past.
+    it can be since (0, 0) has order 2.  Up to 47 the counts are read from
+    `_COUNTS`, tabulated at import by the orbit identity; only curves with
+    most of those primes bad go past, where each count is summed directly.
     """
     m2, q = 2 * c.m, c.q
     bad = q * c.n * c.D
     g = used = 0
     for p in _REDUCTION_PRIMES:
         if bad % p:
-            g = math.gcd(g, _point_count(p, m2 % p, q % p))
+            g = math.gcd(g, _COUNTS[p][m2 % p * p + q % p])
             used += 1
             if g == 2 or used == _REDUCTION_PRIME_COUNT:
                 return g

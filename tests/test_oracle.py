@@ -4,6 +4,8 @@ from itertools import islice, product
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 from reference import add, double_x
 
 from eventorsion import intmath, oracle
@@ -285,7 +287,8 @@ class TestReductionBound:
         assert reduction_bound(C323) == _points_mod_p(C323, 5) == 6
 
     def test_all_listed_primes_bad_walks_past_47(self, monkeypatch, enumerations):
-        # n/2 = 3*5*...*47: every memoized prime divides the discriminant.
+        # n/2 = 3*5*...*47: every prime tabulated at import by the orbit
+        # identity divides the discriminant.
         c = CurveMND(5, 2 * math.prod(ODD_PRIMES[:14]), 3)
         bounded = torsion_group(c)
         assert reduction_bound(c) == 2 and enumerations == []
@@ -355,7 +358,7 @@ class TestReductionBound:
 
 def _euler_count(p: int, a: int, b: int) -> int:
     """#E(F_p) for y^2 = x^3 + a*x^2 + b*x with the Legendre symbol taken
-    by Euler's criterion, independent of oracle._CHARACTERS."""
+    by Euler's criterion, independent of the oracle's tables."""
     total = p + 1
     for x in range(p):
         v = (x * x * x + a * x * x + b * x) % p
@@ -364,75 +367,63 @@ def _euler_count(p: int, a: int, b: int) -> int:
     return total
 
 
-CLASS_BOUND = sum(p * p for p in oracle._REDUCTION_PRIMES)
-
-
-@pytest.fixture
-def fresh_counts(monkeypatch):
-    """An empty point-count memo, in place of the shared one."""
-    counts = {p: bytearray(p * p) for p in oracle._REDUCTION_PRIMES}
-    monkeypatch.setattr(oracle, "_COUNTS", counts)
-    return counts
-
-
-def _computed(counts) -> int:
-    return sum(len(memo) - memo.count(0) for memo in counts.values())
-
-
 class TestPointCount:
-    def test_every_residue_class_cold_then_warm(self, monkeypatch, fresh_counts):
-        classes = [
-            (p, a, b) for p in oracle._REDUCTION_PRIMES for a in range(p) for b in range(p)
+    def test_tables_hold_every_residue_class(self):
+        tables = oracle._COUNTS
+        assert tuple(tables) == oracle._REDUCTION_PRIMES
+        for p, table in tables.items():
+            assert type(table) is bytes and len(table) == p * p, p
+        want = [
+            _euler_count(p, a, b)
+            for p in oracle._REDUCTION_PRIMES
+            for a in range(p)
+            for b in range(p)
         ]
-        assert len(classes) == CLASS_BOUND == 10462
-        want = [_euler_count(*key) for key in classes]
-        assert [oracle._point_count(*key) for key in classes] == want
-        assert _computed(fresh_counts) == CLASS_BOUND
-        assert [x for p in oracle._REDUCTION_PRIMES for x in fresh_counts[p]] == want
-        # Warm: every count comes from the memo, never from the characters.
-        monkeypatch.setattr(oracle, "_CHARACTERS", {})
-        assert [oracle._point_count(*key) for key in classes] == want
+        assert len(want) == 10462
+        assert [x for table in tables.values() for x in table] == want
 
     @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
     def test_small_primes_against_direct_point_search(self, p):
         for a, b in product(range(p), repeat=2):
             model = SimpleNamespace(rhs=lambda x: x**3 + a * x * x + b * x)
-            assert oracle._point_count(p, a, b) == _points_mod_p(model, p), (a, b)
+            assert oracle._COUNTS[p][a * p + b] == _points_mod_p(model, p), (a, b)
 
-    @pytest.mark.parametrize("p", [7, 11, 13, 47])
-    def test_no_stale_counts_from_other_primes(self, monkeypatch, fresh_counts, p):
-        # With one prime per bound, curves whose first good prime is not p
-        # fill the other primes' memos and leave p's empty; curves whose
-        # first good prime is p then get their own counts.
-        monkeypatch.setattr(oracle, "_REDUCTION_PRIME_COUNT", 1)
-        curves = [C322, C323, C523, CurveMND(95, 32, 10), *sweep_curves(8, 8, 5)]
-        for c in curves:
-            if _first_good_prime(c) != p:
-                reduction_bound(c)
-        assert _computed(fresh_counts) > 0
-        assert not any(fresh_counts[p])
-        for c in _first_good_at(p):
-            assert reduction_bound(c) == _points_mod_p(c, p), c
-        assert any(fresh_counts[p])
+    def test_tabulated_primes_count_nothing(self, monkeypatch):
+        # A curve whose first six good primes are all at most 47 takes every
+        # count from the tables and never sums a character.
+        curves = [
+            c
+            for c in sweep_curves(12, 12, 10)
+            if [r for r in ODD_PRIMES if c.q * c.n * c.D % r][5] <= 47
+        ]
+        bounds = [reduction_bound(c) for c in curves]
 
-    def test_cache_stays_within_residue_classes(self, monkeypatch, fresh_counts):
-        calls = 0
-        count = oracle._point_count
+        def refuse(*args):
+            raise AssertionError(f"_direct_count{args} called")
 
-        def counted(p, a, b):
-            nonlocal calls
-            calls += 1
-            return count(p, a, b)
+        monkeypatch.setattr(oracle, "_direct_count", refuse)
+        assert len(curves) > 1000
+        assert [reduction_bound(c) for c in curves] == bounds
 
-        monkeypatch.setattr(oracle, "_point_count", counted)
-        for c in sweep_curves(12, 12, 10):
-            torsion_group(c)
-        assert {p: len(memo) for p, memo in fresh_counts.items()} == {
-            p: p * p for p in oracle._REDUCTION_PRIMES
-        }
-        computed = _computed(fresh_counts)
-        assert 0 < computed <= CLASS_BOUND
-        assert calls - computed > computed  # more memo hits than misses
+    @settings(max_examples=300)
+    @given(
+        st.integers(-10**5, 10**5),
+        st.integers(-10**4, 10**4).filter(bool),
+        st.sampled_from((-15, -7, -6, -3, -2, -1, 2, 3, 5, 6, 7, 10, 15, 30)),
+    )
+    @example(-7, 6, 5)
+    @example(-1, 2, 3)
+    @example(-366, 30, -15)
+    def test_index_matches_euler_count(self, m, n, d):
+        # Negative m and negative q = m^2 - n^2*D reach the tables through
+        # Python's non-negative %, at index (2m mod p)*p + (q mod p).
+        try:
+            c = CurveMND(m, n, d)
+        except InvalidCurveError:
+            assume(False)
+        good = [p for p in ODD_PRIMES if c.q * c.n * c.D % p][:6]
+        counts = [_euler_count(p, 2 * m % p, c.q % p) for p in good]
+        assert reduction_bound(c) == math.gcd(*counts), c
 
 
 class TestTorsionConditions:
