@@ -16,7 +16,8 @@ with an explicit generator x-coordinate:
 
 Each case is one witness class carrying its tag, order, exact flag, (m, n)
 and generator x; `CASES` (tag -> class) is the only registry, and a
-TorsionClass holds only the witness that decided it (none for Z2).
+TorsionClass holds only the witness that decided it (none for Z2, and
+every Z2 curve gets the one `TorsionClass(None)`).
 
 Each class owns both directions of its parametrization.  Backward,
 `candidates(c)` lists its witnesses for a curve in ascending order of the
@@ -44,7 +45,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, fields
-from typing import ClassVar, Iterator, Optional
+from typing import ClassVar, Iterator, NamedTuple, Optional
 
 from . import curve as _curve
 from . import oracle as _oracle
@@ -345,8 +346,14 @@ class TorsionClass:
         return f"Z{self.order}"
 
 
-@dataclass(frozen=True)
-class ClassificationReport:
+# The class of every Z2 curve: no witness decides it.
+_Z2 = TorsionClass(None)
+
+
+class ClassificationReport(NamedTuple):
+    """A curve's class and generator and, with the oracle, its group and
+    whether the two orders agree."""
+
     curve: CurveMND
     cls: TorsionClass
     generator: Point
@@ -401,7 +408,7 @@ def classify(c: CurveMND) -> TorsionClass:
     only when the reduction bound g admits their point of order 4, 3 or 5.
     """
     if c.n % 2:
-        return TorsionClass(None)
+        return _Z2
     g = _oracle.reduction_bound(c)
     w1 = check_case_i(c) if g % 4 == 0 else None
     w3 = check_case_iii(c) if g % 3 == 0 else None
@@ -420,7 +427,7 @@ def classify(c: CurveMND) -> TorsionClass:
     if w3 is not None:
         return TorsionClass(w3)
     w5 = check_case_v(c) if g % 5 == 0 else None
-    return TorsionClass(w5)
+    return _Z2 if w5 is None else TorsionClass(w5)
 
 
 def generator(c: CurveMND, cls: TorsionClass) -> Point:

@@ -9,13 +9,17 @@ escaping: one template writes it, as `json.dumps` would with its default
 separators, and one anchored pattern reads it back.  Reading accepts only
 the canonical line that writing produces, plus surrounding whitespace; any
 other line raises `CorpusFormatError` (exit 2 from `verify`).
+
+A `CorpusRecord` is an immutable `NamedTuple` of the line's nine fields in
+key order (`cls` holds the "class" label), so two records compare field by
+field and `_replace` gives an edited copy.  `from_report` builds one
+positionally from a `ClassificationReport`, itself a `NamedTuple`.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .classifier import CASES, ClassificationReport, Witness
 
@@ -42,8 +46,7 @@ def _witness(tag: str, params: str) -> Witness:
     return CASES[tag](*map(int, params.split(",")))
 
 
-@dataclass(frozen=True)
-class CorpusRecord:
+class CorpusRecord(NamedTuple):
     m: int
     n: int
     D: int
@@ -56,27 +59,28 @@ class CorpusRecord:
 
     @classmethod
     def from_report(cls, report: ClassificationReport) -> "CorpusRecord":
+        c, gen, group = report.curve, report.generator, report.oracle_group
         return cls(
-            m=report.curve.m,
-            n=report.curve.n,
-            D=report.curve.D,
-            cls=report.cls.label,
-            witness=report.cls.witness,
-            generator_x=report.generator.x,
-            generator_y=report.generator.y,
-            oracle_order=None if report.oracle_group is None else report.oracle_group.order,
-            agree=report.agree,
+            c.m,
+            c.n,
+            c.D,
+            report.cls.label,
+            report.cls.witness,
+            gen.x,
+            gen.y,
+            None if group is None else group.order,
+            report.agree,
         )
 
     def to_line(self) -> str:
-        w = self.witness
+        m, n, d, label, w, gx, gy, order, agree = self
         witness = "null" if w is None else f'"{w.tag}:{",".join(map(str, w.params))}"'
-        order = "null" if self.oracle_order is None else f'"{self.oracle_order}"'
-        agree = "null" if self.agree is None else "true" if self.agree else "false"
+        order = "null" if order is None else f'"{order}"'
+        agree = "null" if agree is None else "true" if agree else "false"
         return (
-            f'{{"m": "{self.m}", "n": "{self.n}", "D": "{self.D}", "class": "{self.cls}", '
-            f'"witness": {witness}, "generator_x": "{self.generator_x}", '
-            f'"generator_y": "{self.generator_y}", "oracle_order": {order}, "agree": {agree}}}'
+            f'{{"m": "{m}", "n": "{n}", "D": "{d}", "class": "{label}", '
+            f'"witness": {witness}, "generator_x": "{gx}", '
+            f'"generator_y": "{gy}", "oracle_order": {order}, "agree": {agree}}}'
         )
 
     @classmethod

@@ -56,8 +56,14 @@ _REDUCTION_PRIME_COUNT = 6
 
 
 def _quadratic_character(p: int) -> tuple[int, ...]:
-    """chi_p(r) for r = 0..p-1 by Euler's criterion, r^((p-1)/2) mod p."""
-    return tuple([(pow(r, (p - 1) // 2, p) + 1) % p - 1 for r in range(p)])
+    """chi_p(r) for r = 0..p-1, p an odd prime: 0 at 0, 1 at the nonzero
+    squares (x^2 mod p for 1 <= x <= (p-1)/2 reaches each once), -1
+    elsewhere."""
+    chi = [-1] * p
+    chi[0] = 0
+    for x in range(1, (p + 1) // 2):
+        chi[x * x % p] = 1
+    return tuple(chi)
 
 
 class OracleError(RuntimeError):

@@ -398,6 +398,11 @@ class TestClassify:
                 continue
             assert classify(c).order == 2
 
+    def test_z2_is_one_witnessless_class(self):
+        odd, even = classify(CurveMND(1, 1, 2)), classify(C523)
+        assert odd == even == TorsionClass(None)
+        assert odd is even
+
     def test_witness_reconstruction(self):
         for c in (C322, C323, C2387, C59246, C953210, Z12_CURVE):
             cls = classify(c)
@@ -524,6 +529,11 @@ class TestFullReport:
         assert rep.generator == Point(25, 300)
         assert rep.oracle_group is None
         assert rep.agree is None
+
+    def test_fields_are_read_only(self):
+        rep = full_report(C322)
+        with pytest.raises(AttributeError):
+            rep.agree = True
 
 
 class TestCaseWitnesses:

@@ -356,18 +356,25 @@ class TestReductionBound:
         _assert_paths_agree(s.curve for s in samples)
 
 
+def _euler_character(p: int) -> list[int]:
+    """chi_p(r) for r = 0..p-1 by Euler's criterion, r^((p-1)/2) mod p."""
+    return [(pow(r, (p - 1) // 2, p) + 1) % p - 1 for r in range(p)]
+
+
 def _euler_count(p: int, a: int, b: int) -> int:
     """#E(F_p) for y^2 = x^3 + a*x^2 + b*x with the Legendre symbol taken
     by Euler's criterion, independent of the oracle's tables."""
-    total = p + 1
-    for x in range(p):
-        v = (x * x * x + a * x * x + b * x) % p
-        if v:
-            total += 1 if pow(v, (p - 1) // 2, p) == 1 else -1
-    return total
+    chi = _euler_character(p)
+    return p + 1 + sum(chi[(x * x * x + a * x * x + b * x) % p] for x in range(p))
 
 
 class TestPointCount:
+    def test_quadratic_character_matches_euler_criterion(self):
+        primes = [p for p in ODD_PRIMES if p < 1100]
+        assert primes[0] == 3 and primes[-1] == 1097
+        for p in primes:
+            assert list(oracle._quadratic_character(p)) == _euler_character(p), p
+
     def test_tables_hold_every_residue_class(self):
         tables = oracle._COUNTS
         assert tuple(tables) == oracle._REDUCTION_PRIMES
