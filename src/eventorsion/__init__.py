@@ -25,9 +25,7 @@ from .corpus import CorpusRecord
 from .curve import (
     INFINITY,
     CurveMND,
-    GeneralCubic,
     InvalidCurveError,
-    NonCyclicReport,
     Point,
     from_general,
     normalize,
@@ -43,11 +41,9 @@ __all__ = [
     "CorpusRecord",
     "CurveMND",
     "FamilySample",
-    "GeneralCubic",
     "INFINITY",
     "InconsistencyError",
     "InvalidCurveError",
-    "NonCyclicReport",
     "NonSquareYError",
     "Point",
     "TorsionClass",

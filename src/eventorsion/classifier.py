@@ -44,7 +44,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import ClassVar, Iterator, NamedTuple, Optional
 
 from . import curve as _curve
@@ -94,19 +94,8 @@ class Witness:
 
     @property
     def params(self) -> tuple[int, ...]:
-        return tuple(getattr(self, f.name) for f in fields(self))
-
-    @classmethod
-    def lattice(cls, bound: int) -> Iterator[tuple[Witness, int]]:
-        """Every witness with all parameters in 1..bound, with every
-        squarefree D != 1 in |D| <= 2*bound."""
-        ds = _squarefree_ds(bound)
-        # Case I: sign flips of (a, b) only swap conjugates or negate n: same
-        # curve.
-        for params in itertools.product(range(1, bound + 1), repeat=len(fields(cls))):
-            witness = cls(*params)
-            for d in ds:
-                yield witness, d
+        # __match_args__ is the dataclass's tuple of field names, in order.
+        return tuple([getattr(self, name) for name in self.__match_args__])
 
 
 @dataclass(frozen=True)
@@ -128,6 +117,17 @@ class WitnessI(Witness, tag="I", order=4, exact=False):
         for a in sorted(a for a in roots if a):  # drops None and 0
             if half % a == 0:
                 yield cls(a, half // a)
+
+    @classmethod
+    def lattice(cls, bound: int) -> Iterator[tuple[WitnessI, int]]:
+        """(a, b) in 1..bound with every squarefree D != 1 in
+        |D| <= 2*bound."""
+        # Sign flips of (a, b) only swap conjugates or negate n: same curve.
+        ds = _squarefree_ds(bound)
+        for a, b in itertools.product(range(1, bound + 1), repeat=2):
+            witness = cls(a, b)
+            for d in ds:
+                yield witness, d
 
     def holds(self, d: int) -> bool:
         return self.a * self.b != 0 and math.gcd(self.a, self.b) == 1

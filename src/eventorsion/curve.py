@@ -11,11 +11,15 @@ which expands over the rationals to the integral model
 All arithmetic is exact.  The model's torsion points are integral
 (Nagell-Lutz), so points hold ints and the group law stops at the first
 slope that is not an integer.
+
+`from_general` maps a rational y^2 = x^3 + a2*x^2 + a4*x + a6 with exactly
+one rational root onto the family; zero or three rational roots raise.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -35,6 +39,18 @@ class SingularCurveError(InvalidCurveError):
 
 class NoRationalTwoTorsionError(InvalidCurveError):
     """The cubic has no rational root, so there is no rational 2-torsion."""
+
+
+class FullTwoTorsionError(InvalidCurveError):
+    """The cubic has three rational roots: full rational 2-torsion, so the
+    torsion subgroup is not cyclic and the curve is outside this family."""
+
+    def __init__(self, roots: Iterable[int | Fraction]) -> None:
+        self.roots = tuple(sorted(map(Fraction, roots)))
+        super().__init__(
+            f"three rational roots {', '.join(map(str, self.roots))}: "
+            "full rational 2-torsion, outside this family"
+        )
 
 
 class PointNotOnCurveError(ValueError):
@@ -107,54 +123,24 @@ class Point:
 INFINITY = Point()
 
 
-@dataclass(frozen=True)
-class GeneralCubic:
-    """Curve y^2 = x^3 + a2*x^2 + a4*x + a6 with rational coefficients."""
-
-    a2: Fraction
-    a4: Fraction
-    a6: Fraction
-
-    def __post_init__(self) -> None:
-        for name in ("a2", "a4", "a6"):
-            v = getattr(self, name)
-            if not isinstance(v, Fraction):
-                object.__setattr__(self, name, Fraction(v))
-
-    def discriminant(self) -> Fraction:
-        a, b, c = self.a2, self.a4, self.a6
-        b2 = 4 * a
-        b4 = 2 * b
-        b6 = 4 * c
-        b8 = 4 * a * c - b * b
-        return -b2 * b2 * b8 - 8 * b4**3 - 27 * b6 * b6 + 9 * b2 * b4 * b6
-
-
-@dataclass(frozen=True)
-class NonCyclicReport:
-    """The cubic has three rational roots: full rational 2-torsion, so the
-    torsion subgroup is not cyclic and the curve is outside this family."""
-
-    roots: tuple[Fraction, Fraction, Fraction]
-
-
 def normalize(m: int, n: int, d_raw: int) -> CurveMND:
     """Build the normalized curve datum from a general (m, n, D) triple.
 
     Absorbs the square part of d_raw into n, canonicalizes n > 0 (swapping
     the conjugates M and N leaves the curve unchanged), then divides (m, n)
     by the square part of their gcd.  The result is Q-isomorphic to the
-    input curve.
+    input curve.  A perfect-square d_raw gives three rational roots and
+    raises FullTwoTorsionError, or SingularCurveError when two coincide.
     """
     if n == 0:
         raise InvalidCurveError("n must be nonzero")
     if d_raw == 0:
         raise InvalidCurveError("D must be nonzero")
-    if intmath.int_sqrt(d_raw) is not None:
-        raise InvalidCurveError(
-            f"n^2*D = {n * n * d_raw} is a perfect square: the quadratic "
-            "factor is reducible (full rational 2-torsion, outside this family)"
-        )
+    r = intmath.int_sqrt(d_raw)
+    if r is not None:
+        if m * m == n * n * d_raw:
+            raise SingularCurveError("cubic has a repeated root")
+        raise FullTwoTorsionError((0, -m + n * r, -m - n * r))
     d, d0 = intmath.squarefree_split(d_raw)
     n = abs(n * d)
     g = math.gcd(m, n)
@@ -165,31 +151,34 @@ def normalize(m: int, n: int, d_raw: int) -> CurveMND:
     return CurveMND(m, n, d0)
 
 
-def from_general(cubic: GeneralCubic) -> CurveMND | NonCyclicReport:
-    """Recognize a general rational cubic as a member of the family.
+def from_general(
+    a2: int | Fraction | str, a4: int | Fraction | str, a6: int | Fraction | str
+) -> CurveMND:
+    """Recognize y^2 = x^3 + a2*x^2 + a4*x + a6 as a member of the family.
 
-    Scales to an integer monic model, whose rational roots are its integer
-    roots, found by intmath.integer_roots without factoring anything (the
-    model is squarefree: a zero discriminant is rejected first); translates
-    the single rational root to 0, rescales once more by 2 if needed so the
-    middle coefficient is even, and normalizes.  Three rational roots yield
-    a NonCyclicReport; zero rational roots are rejected.
+    Each coefficient is read by Fraction(), so ints, Fractions and strings
+    such as "3/2" all work.  Scales to an integer monic model, whose rational
+    roots are its integer roots, found by intmath.integer_roots without
+    factoring anything (the model is squarefree: a zero discriminant is
+    rejected first); translates the single rational root to 0, rescales once
+    more by 2 if needed so the middle coefficient is even, and normalizes.
+    Zero rational roots raise NoRationalTwoTorsionError and three raise
+    FullTwoTorsionError.
     """
-    if cubic.discriminant() == 0:
+    a2, a4, a6 = Fraction(a2), Fraction(a4), Fraction(a6)
+    scale = math.lcm(a2.denominator, a4.denominator, a6.denominator)
+    b = int(a2 * scale**2)
+    c = int(a4 * scale**4)
+    d = int(a6 * scale**6)
+    if b * b * c * c - 4 * c**3 - 4 * b**3 * d - 27 * d * d + 18 * b * c * d == 0:
         raise SingularCurveError("cubic has a repeated root")
-    scale = math.lcm(
-        cubic.a2.denominator, cubic.a4.denominator, cubic.a6.denominator
-    )
-    b = int(cubic.a2 * scale**2)
-    c = int(cubic.a4 * scale**4)
-    d = int(cubic.a6 * scale**6)
     roots = intmath.integer_roots([1, b, c, d])
     if not roots:
         raise NoRationalTwoTorsionError(
             "cubic has no rational root: no rational point of order 2"
         )
     if len(roots) == 3:
-        return NonCyclicReport(tuple(Fraction(r, scale**2) for r in roots))
+        raise FullTwoTorsionError(Fraction(r, scale**2) for r in roots)
     # A monic rational cubic with two rational roots has a rational third
     # root, so exactly one root remains here.
     (r,) = roots

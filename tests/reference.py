@@ -1,9 +1,9 @@
 """Reference computations that the tests check the package against.
 
 The package reaches a curve's class and generator without any of these: the
-checked group law, the duplication formula, the j-invariant, a polynomial's
-value, the halving test over Q(sqrt(D)) and the unfiltered case checks.  All
-arithmetic is exact: ints and Fractions, no floats (tests/test_exactness.py
+checked group law, the duplication formula, a general cubic's discriminant
+and j-invariant, a polynomial's value, the halving test over Q(sqrt(D)) and
+the unfiltered case checks.  All arithmetic is exact: ints and Fractions, no floats (tests/test_exactness.py
 walks this module too).
 """
 
@@ -15,7 +15,6 @@ from fractions import Fraction
 from eventorsion import classifier, intmath
 from eventorsion.curve import (
     CurveMND,
-    GeneralCubic,
     Point,
     SingularCurveError,
     _add_raw,
@@ -41,11 +40,21 @@ def double_x(c: CurveMND, p: Point) -> int | Fraction:
     return t * t
 
 
-def j_invariant(cubic: GeneralCubic) -> Fraction:
-    disc = cubic.discriminant()
+def discriminant(a2, a4, a6) -> Fraction:
+    """Discriminant of y^2 = x^3 + a2*x^2 + a4*x + a6, from its b-invariants."""
+    a2, a4, a6 = Fraction(a2), Fraction(a4), Fraction(a6)
+    b2 = 4 * a2
+    b4 = 2 * a4
+    b6 = 4 * a6
+    b8 = 4 * a2 * a6 - a4 * a4
+    return -b2 * b2 * b8 - 8 * b4**3 - 27 * b6 * b6 + 9 * b2 * b4 * b6
+
+
+def j_invariant(a2, a4, a6) -> Fraction:
+    disc = discriminant(a2, a4, a6)
     if disc == 0:
         raise SingularCurveError("j undefined for singular cubic")
-    c4 = 16 * cubic.a2 * cubic.a2 - 48 * cubic.a4
+    c4 = 16 * Fraction(a2) ** 2 - 48 * Fraction(a4)
     return c4**3 / disc
 
 

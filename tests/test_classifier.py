@@ -373,6 +373,21 @@ class TestHolds:
         assert not witness.holds(d)
 
 
+@pytest.mark.parametrize(
+    "witness",
+    [
+        WitnessI(2, 3),
+        WitnessII(2, 3, 5),
+        WitnessIII(2, 3, -5),
+        WitnessIV(2, 3, 5),
+        WitnessV(2, 3, 5, 7),
+    ],
+    ids=list(CASES),
+)
+def test_params_in_field_order(witness):
+    assert witness.params == tuple(getattr(witness, f.name) for f in fields(witness))
+
+
 class TestClassify:
     @pytest.mark.parametrize(
         "curve,label",

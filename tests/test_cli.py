@@ -58,8 +58,12 @@ class TestClassifyCommand:
         assert "n must be nonzero" in err
 
     def test_square_d_exits_2(self, capsys):
-        code, _, _ = run(capsys, "classify", "3", "1", "9")
+        code, _, err = run(capsys, "classify", "3", "1", "4")  # x(x + 1)(x + 5)
         assert code == EXIT_INVALID
+        assert "three rational roots -5, -1, 0" in err
+        code, _, err = run(capsys, "classify", "3", "1", "9")  # x^2 (x + 6)
+        assert code == EXIT_INVALID
+        assert "repeated root" in err
 
     def test_records_format(self, capsys):
         code, out, _ = run(capsys, "classify", "23", "8", "7", "--oracle", "--format", "records")

@@ -17,10 +17,9 @@ from reference import (
 from eventorsion.curve import (
     INFINITY,
     CurveMND,
-    GeneralCubic,
+    FullTwoTorsionError,
     InvalidCurveError,
     NoRationalTwoTorsionError,
-    NonCyclicReport,
     Point,
     PointNotOnCurveError,
     SingularCurveError,
@@ -84,8 +83,8 @@ class TestNormalize:
             normalize(3, 0, 2)
         with pytest.raises(InvalidCurveError):
             normalize(3, 1, 0)
-        with pytest.raises(InvalidCurveError):
-            normalize(3, 1, 9)  # perfect-square D: reducible quadratic
+        with pytest.raises(SingularCurveError):
+            normalize(3, 1, 9)  # perfect-square D and m^2 = n^2*D: x^2 (x + 6)
         with pytest.raises(InvalidCurveError):
             normalize(3, 2, 1)
 
@@ -103,55 +102,58 @@ class TestNormalize:
         again = normalize(c.m, c.n, c.D)
         assert again == c
         # Same Q-isomorphism class: equal j-invariants, exactly.
-        assert j_invariant(GeneralCubic(2 * c.m, c.q, 0)) == j_invariant(
-            GeneralCubic(2 * m, m * m - n * n * d_raw, 0)
+        assert j_invariant(2 * c.m, c.q, 0) == j_invariant(
+            2 * m, m * m - n * n * d_raw, 0
         )
 
 
 class TestFromGeneral:
     def test_integral_family_member(self):
-        assert from_general(GeneralCubic(6, 1, 0)) == CurveMND(3, 2, 2)
+        assert from_general(6, 1, 0) == CurveMND(3, 2, 2)
 
     def test_three_rational_roots(self):
-        report = from_general(GeneralCubic(0, -1, 0))  # y^2 = x(x-1)(x+1)
-        assert isinstance(report, NonCyclicReport)
-        assert report.roots == (Fraction(-1), Fraction(0), Fraction(1))
+        with pytest.raises(FullTwoTorsionError) as exc:
+            from_general(0, -1, 0)  # y^2 = x(x-1)(x+1)
+        assert exc.value.roots == (Fraction(-1), Fraction(0), Fraction(1))
+
+    def test_square_d_is_the_same_error(self):
+        # x(x + 1)(x + 5), as (m, n, D) = (3, 1, 4) and as a general cubic.
+        for build, args in ((normalize, (3, 1, 4)), (from_general, (6, 5, 0))):
+            with pytest.raises(FullTwoTorsionError) as exc:
+                build(*args)
+            assert exc.value.roots == (-5, -1, 0)
+            assert str(exc.value).startswith("three rational roots -5, -1, 0:")
 
     def test_no_rational_root(self):
         with pytest.raises(NoRationalTwoTorsionError):
-            from_general(GeneralCubic(0, 0, 2))  # y^2 = x^3 + 2
+            from_general(0, 0, 2)  # y^2 = x^3 + 2
 
     def test_singular(self):
         with pytest.raises(SingularCurveError):
-            from_general(GeneralCubic(2, 1, 0))  # double root at -1
+            from_general(2, 1, 0)  # double root at -1
 
     def test_singular_has_no_j_invariant(self):
         with pytest.raises(SingularCurveError):
-            j_invariant(GeneralCubic(0, 0, 0))  # y^2 = x^3, triple root
+            j_invariant(0, 0, 0)  # y^2 = x^3, triple root
 
     def test_translation_needed(self):
         # y^2 = (x - 1)((x - 1)^2 + 6(x - 1) + 1): root at 1
-        cubic = GeneralCubic(3, -8, 4)
-        assert from_general(cubic) == CurveMND(3, 2, 2)
+        assert from_general(3, -8, 4) == CurveMND(3, 2, 2)
 
     def test_fractional_coefficients_rescaled(self):
-        cubic = GeneralCubic(Fraction(3, 2), Fraction(1, 16), 0)
-        assert from_general(cubic) == CurveMND(3, 2, 2)
+        assert from_general(Fraction(3, 2), Fraction(1, 16), 0) == CurveMND(3, 2, 2)
+        assert from_general("3/2", "1/16", "0") == CurveMND(3, 2, 2)
 
     def test_odd_middle_coefficient_scaled_by_two(self):
         # y^2 = x^3 + 3x^2 + x has one rational root but odd middle term.
-        result = from_general(GeneralCubic(3, 1, 0))
-        assert isinstance(result, CurveMND)
-        assert j_invariant(GeneralCubic(2 * result.m, result.q, 0)) == j_invariant(
-            GeneralCubic(3, 1, 0)
-        )
+        result = from_general(3, 1, 0)
+        assert j_invariant(2 * result.m, result.q, 0) == j_invariant(3, 1, 0)
 
     def test_large_root_without_factoring(self):
         # (x - P)(x^2 + 2x - 1) with P a product of two primes near 10^20:
         # the root is found without factoring the constant term P.
         p = (10**20 + 39) * (3 * 10**20 + 53)
-        cubic = GeneralCubic(2 - p, -1 - 2 * p, p)
-        assert from_general(cubic) == CurveMND(p + 1, 1, 2)
+        assert from_general(2 - p, -1 - 2 * p, p) == CurveMND(p + 1, 1, 2)
 
     @given(
         st.lists(
@@ -166,40 +168,33 @@ class TestFromGeneral:
         # (x - r)(x - s)(x - t) with r, s, t = nums / den: the scaled monic
         # model's roots are integers up to 10^30 * den^2, found exactly.
         r, s, t = (Fraction(a, den) for a in nums)
-        cubic = GeneralCubic(-(r + s + t), r * s + r * t + s * t, -r * s * t)
-        report = from_general(cubic)
-        assert isinstance(report, NonCyclicReport)
-        assert report.roots == tuple(sorted((r, s, t)))
+        with pytest.raises(FullTwoTorsionError) as exc:
+            from_general(-(r + s + t), r * s + r * t + s * t, -r * s * t)
+        assert exc.value.roots == tuple(sorted((r, s, t)))
 
     @given(
         st.integers(min_value=-10, max_value=10),
         st.integers(min_value=1, max_value=6),
         st.sampled_from([-5, -3, -2, -1, 2, 3, 5, 6]),
-        st.integers(min_value=1, max_value=4),
-        st.integers(min_value=-3, max_value=3),
+        st.fractions(min_value=-4, max_value=4, max_denominator=4).filter(bool),
+        st.fractions(min_value=-3, max_value=3, max_denominator=4),
     )
     @settings(max_examples=200)
-    def test_roundtrip_through_scaling_and_translation(self, m, n, d, scale, shift):
+    def test_roundtrip_through_scaling_and_translation(self, m, n, d, u, s):
         try:
             c = CurveMND(m, n, d)
         except InvalidCurveError:
             return
-        # Move x by a rational shift and rescale: same curve up to isomorphism.
-        s = Fraction(shift, 2)
+        # Move x by s and rescale by u: an isomorphism over Q, so the
+        # normalized datum comes back exactly (equal j-invariants alone would
+        # not rule out a quadratic twist).
         a2, a4, a6 = Fraction(2 * m), Fraction(c.q), Fraction(0)
-        shifted = GeneralCubic(
+        a2, a4, a6 = (
             a2 + 3 * s,
             a4 + 2 * a2 * s + 3 * s * s,
             a6 + a4 * s + a2 * s * s + s**3,
         )
-        scaled = GeneralCubic(
-            shifted.a2 * scale**2, shifted.a4 * scale**4, shifted.a6 * scale**6
-        )
-        result = from_general(scaled)
-        assert isinstance(result, CurveMND)
-        assert j_invariant(GeneralCubic(2 * result.m, result.q, 0)) == j_invariant(
-            GeneralCubic(2 * c.m, c.q, 0)
-        )
+        assert from_general(a2 * u**2, a4 * u**4, a6 * u**6) == c
 
 
 class TestGroupLaw:

@@ -6,14 +6,13 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
-from reference import add, double_x
+from reference import add, discriminant, double_x
 
 from eventorsion import intmath, oracle
 from eventorsion.classifier import CASES
 from eventorsion.curve import (
     INFINITY,
     CurveMND,
-    GeneralCubic,
     InvalidCurveError,
     Point,
     normalize,
@@ -105,15 +104,15 @@ class TestDiscriminant:
     # y^2 = x^3 + 2m*x^2 + q*x has discriminant 64*q^2*n^2*D, so an odd prime
     # divides it exactly when it divides q*n*D, the test reduction_bound uses.
     def test_322(self):
-        assert GeneralCubic(6, 1, 0).discriminant() == 512
+        assert discriminant(6, 1, 0) == 512
 
     def test_323(self):
-        assert GeneralCubic(6, -3, 0).discriminant() == 6912
+        assert discriminant(6, -3, 0) == 6912
 
     def test_matches_b_invariant_formula(self):
         for triple, _ in PINNED:
             c = CurveMND(*triple)
-            disc = GeneralCubic(2 * c.m, c.q, 0).discriminant()
+            disc = discriminant(2 * c.m, c.q, 0)
             assert disc == 64 * c.q**2 * c.n**2 * c.D != 0
 
 

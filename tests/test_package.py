@@ -7,11 +7,9 @@ PUBLIC = [
     "CorpusRecord",
     "CurveMND",
     "FamilySample",
-    "GeneralCubic",
     "INFINITY",
     "InconsistencyError",
     "InvalidCurveError",
-    "NonCyclicReport",
     "NonSquareYError",
     "Point",
     "TorsionClass",
@@ -40,7 +38,7 @@ PUBLIC = [
 
 
 def test_public_surface():
-    assert PUBLIC == sorted(PUBLIC) and len(PUBLIC) == 33
+    assert PUBLIC == sorted(PUBLIC) and len(PUBLIC) == 31
     assert eventorsion.__all__ == PUBLIC
     assert all(hasattr(eventorsion, name) for name in PUBLIC)
     namespace = {}
