@@ -5,7 +5,6 @@ from .classifier import (
     ClassificationReport,
     InconsistencyError,
     NonSquareYError,
-    TorsionClass,
     Witness,
     WitnessI,
     WitnessII,
@@ -46,7 +45,6 @@ __all__ = [
     "InvalidCurveError",
     "NonSquareYError",
     "Point",
-    "TorsionClass",
     "TorsionGroup",
     "Witness",
     "WitnessI",

@@ -14,10 +14,11 @@ with an explicit generator x-coordinate:
     case V    Z10 exactly:       m = 2s(s+u) - v^2,  n = 2st,
                                  (s+u)^2 - v^2 = t^2*D,  (u-v)^2*(u+v) = 4uvs
 
-Each case is one witness class carrying its tag, order, exact flag, (m, n)
-and generator x; `CASES` (tag -> class) is the only registry, and a
-TorsionClass holds only the witness that decided it (none for Z2, and
-every Z2 curve gets the one `TorsionClass(None)`).
+Each case is one witness class carrying its tag, order, label, exact flag,
+(m, n) and generator x; `CASES` (tag -> class) is the only registry.  A
+torsion class is the witness that decided it: `classify` returns that
+witness, and every Z2 curve gets the one parameterless base `Witness()`,
+whose tag is None and whose generator is (0, 0).
 
 Each class owns both directions of its parametrization.  Backward,
 `candidates(c)` lists its witnesses for a curve in ascending order of the
@@ -82,20 +83,26 @@ def _squarefree_ds(bound: int) -> list[int]:
     return [d for d in range(-limit, limit + 1) if d not in (0, 1) and is_squarefree(d)]
 
 
+@dataclass(frozen=True)
 class Witness:
-    """Witness of one case; each subclass is one row of the case table."""
+    """Witness of one case; each subclass is one row of the case table.  The
+    base class itself, with no parameters, is Z2's witness."""
 
-    tag: ClassVar[str]
-    order: ClassVar[int]
-    exact: ClassVar[bool]  # False when the case only shows Z{order} is contained
+    tag: ClassVar[Optional[str]] = None
+    order: ClassVar[int] = 2
+    exact: ClassVar[bool] = True  # False when the case only shows Z{order} is contained
+    label: ClassVar[str] = "Z2"
 
     def __init_subclass__(cls, tag: str, order: int, exact: bool = True) -> None:
-        cls.tag, cls.order, cls.exact = tag, order, exact
+        cls.tag, cls.order, cls.exact, cls.label = tag, order, exact, f"Z{order}"
 
     @property
     def params(self) -> tuple[int, ...]:
         # __match_args__ is the dataclass's tuple of field names, in order.
         return tuple([getattr(self, name) for name in self.__match_args__])
+
+    def generator_x(self, d: int) -> int:
+        return 0
 
 
 @dataclass(frozen=True)
@@ -331,31 +338,16 @@ CASES: dict[str, type[Witness]] = {
 }
 
 
-@dataclass(frozen=True)
-class TorsionClass:
-    """Cyclic torsion class Z{order}, decided by its witness (None for Z2)."""
-
-    witness: Optional[Witness]
-
-    @property
-    def order(self) -> int:
-        return 2 if self.witness is None else self.witness.order
-
-    @property
-    def label(self) -> str:
-        return f"Z{self.order}"
-
-
-# The class of every Z2 curve: no witness decides it.
-_Z2 = TorsionClass(None)
+# The witness of every Z2 curve: (0, 0) generates, and no case holds.
+_Z2 = Witness()
 
 
 class ClassificationReport(NamedTuple):
-    """A curve's class and generator and, with the oracle, its group and
-    whether the two orders agree."""
+    """A curve's class (the witness that decides it) and generator and, with
+    the oracle, its group and whether the two orders agree."""
 
     curve: CurveMND
-    cls: TorsionClass
+    cls: Witness
     generator: Point
     oracle_group: Optional[_oracle.TorsionGroup]
     agree: Optional[bool]
@@ -397,8 +389,9 @@ def check_case_v(c: CurveMND) -> WitnessV | None:
     return _first_witness(WitnessV, c)
 
 
-def classify(c: CurveMND) -> TorsionClass:
-    """Decide the torsion class of a normalized curve.
+def classify(c: CurveMND) -> Witness:
+    """Decide the torsion class of a normalized curve: the witness that
+    decides it, `_Z2` for Z2.
 
     Decision tree: case I and case III together force Z12 (case IV is then
     asserted as a cross-check and supplies the witness); case I alone gives
@@ -418,26 +411,24 @@ def classify(c: CurveMND) -> TorsionClass:
             raise InconsistencyError(
                 f"{c}: Z4 and Z6 criteria both hold but the Z12 criterion fails"
             )
-        return TorsionClass(w4)
+        return w4
     if w1 is not None:
         w2 = check_case_ii(c, w1)
-        if w2 is not None:
-            return TorsionClass(w2)
-        return TorsionClass(w1)
+        return w1 if w2 is None else w2
     if w3 is not None:
-        return TorsionClass(w3)
+        return w3
     w5 = check_case_v(c) if g % 5 == 0 else None
-    return _Z2 if w5 is None else TorsionClass(w5)
+    return _Z2 if w5 is None else w5
 
 
-def generator(c: CurveMND, cls: TorsionClass) -> Point:
+def generator(c: CurveMND, cls: Witness) -> Point:
     """Explicit generator point for the class, with canonical y > 0.
 
-    The x-coordinate comes from the witness (Z2's generator is (0, 0)); y is
-    the exact integer square root of the curve's right-hand side, whose
-    failure would mean the witness and class are inconsistent.
+    The x-coordinate comes from the witness (Z2's is 0); y is the exact
+    integer square root of the curve's right-hand side, whose failure would
+    mean the witness and class are inconsistent.
     """
-    x = 0 if cls.witness is None else cls.witness.generator_x(c.D)
+    x = cls.generator_x(c.D)
     y2 = c.rhs(x)
     y = int_sqrt(y2)
     if y is None:
@@ -453,11 +444,11 @@ def full_report(c: CurveMND, with_oracle: bool = False) -> ClassificationReport:
 
     A Z2 report takes (0, 0) as its generator without calling `generator`
     or `order`: rhs(0) = 0 puts (0, 0) on every curve, and with y = 0 it
-    doubles to infinity.  A witness class builds its generator and checks
+    doubles to infinity.  A case witness builds its generator and checks
     that its order is the class's order.
     """
     cls = classify(c)
-    if cls.witness is None:
+    if cls.tag is None:
         gen = _ORIGIN
     else:
         gen = generator(c, cls)

@@ -39,10 +39,10 @@ EXIT_PIPE = 141
 def _render_text(report, out: TextIO) -> None:
     c = report.curve
     print(f"curve {c}", file=out)
-    print(f"class: {report.cls.label}", file=out)
-    w = report.cls.witness
-    print(f"witness: {w.tag}{w.params}" if w else "witness: none", file=out)
-    print(f"generator: {report.generator}  order {report.cls.order}", file=out)
+    w = report.cls
+    print(f"class: {w.label}", file=out)
+    print("witness: none" if w.tag is None else f"witness: {w.tag}{w.params}", file=out)
+    print(f"generator: {report.generator}  order {w.order}", file=out)
     if report.oracle_group is not None:
         g = report.oracle_group
         print(f"oracle: {g.structure} (order {g.order})", file=out)

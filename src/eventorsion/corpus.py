@@ -3,12 +3,14 @@
 One JSON object per line, fixed key order (m, n, D, class, witness,
 generator_x, generator_y, oracle_order, agree), every integer serialized as
 a decimal string so no consumer word size can truncate it.  A witness is
-"TAG:p1,p2,..." or null, TAG being a key of `classifier.CASES`.  Every field
-is a decimal, a "Z<k>" label or a witness token, so the line needs no JSON
-escaping: one template writes it, as `json.dumps` would with its default
-separators, and one anchored pattern reads it back.  Reading accepts only
-the canonical line that writing produces, plus surrounding whitespace; any
-other line raises `CorpusFormatError` (exit 2 from `verify`).
+"TAG:p1,p2,...", TAG being a key of `classifier.CASES`, or null for Z2's
+parameterless `Witness()`, which reads back as the object `classify`
+returns.  Every field is a decimal, a "Z<k>" label or a witness token, so
+the line needs no JSON escaping: one template writes it, as `json.dumps`
+would with its default separators, and one anchored pattern reads it back.
+Reading accepts only the canonical line that writing produces, plus
+surrounding whitespace; any other line raises `CorpusFormatError` (exit 2
+from `verify`).
 
 A `CorpusRecord` is an immutable `NamedTuple` of the line's nine fields in
 key order (`cls` holds the "class" label), so two records compare field by
@@ -21,7 +23,7 @@ from __future__ import annotations
 import re
 from typing import NamedTuple, Optional
 
-from .classifier import CASES, ClassificationReport, Witness
+from .classifier import _Z2, CASES, ClassificationReport, Witness
 
 # A canonical decimal: what str() writes for an int.  ASCII [0-9], not \d,
 # because int() also reads non-ASCII digits.
@@ -51,7 +53,7 @@ class CorpusRecord(NamedTuple):
     n: int
     D: int
     cls: str
-    witness: Optional[Witness]
+    witness: Witness
     generator_x: int
     generator_y: int
     oracle_order: Optional[int]
@@ -65,7 +67,7 @@ class CorpusRecord(NamedTuple):
             c.n,
             c.D,
             report.cls.label,
-            report.cls.witness,
+            report.cls,
             gen.x,
             gen.y,
             None if group is None else group.order,
@@ -74,7 +76,7 @@ class CorpusRecord(NamedTuple):
 
     def to_line(self) -> str:
         m, n, d, label, w, gx, gy, order, agree = self
-        witness = "null" if w is None else f'"{w.tag}:{",".join(map(str, w.params))}"'
+        witness = "null" if w.tag is None else f'"{w.tag}:{",".join(map(str, w.params))}"'
         order = "null" if order is None else f'"{order}"'
         agree = "null" if agree is None else "true" if agree else "false"
         return (
@@ -95,7 +97,7 @@ class CorpusRecord(NamedTuple):
                 int(n),
                 int(d),
                 label,
-                None if tag is None else _witness(tag, params),
+                _Z2 if tag is None else _witness(tag, params),
                 int(gx),
                 int(gy),
                 None if order is None else int(order),

@@ -5,7 +5,7 @@ bound, with a squarefree D != 1 enumerated or derived from them; each
 case's D derivation is in its `lattice` docstring) and keeps the tuples
 whose witness satisfies the class's side conditions (`holds`, which also
 keep n nonzero: case III's a + c = 0 would need b^2*D = 0); the witness
-gives (m, n), the predicted class and generator x-coordinate.
+is the predicted class and gives (m, n) and the generator x-coordinate.
 Tuples normalizing to a previously emitted curve are deduplicated; output is
 sorted by (m, n, D) so the order is canonical.  `sweep_curves` enumerates
 every normalized curve of a box instead.
@@ -19,14 +19,14 @@ from typing import Iterator
 
 from . import curve as _curve
 from . import intmath
-from .classifier import CASES, InconsistencyError, TorsionClass, Witness
+from .classifier import CASES, InconsistencyError, Witness
 from .curve import CurveMND
 
 
 @dataclass(frozen=True)
 class FamilySample:
     """A case witness, its normalized curve and the predicted generator's x
-    on that curve; the case tag and predicted class follow from the witness."""
+    on that curve; the witness is the predicted class and carries its tag."""
 
     params: Witness
     curve: CurveMND
@@ -37,8 +37,8 @@ class FamilySample:
         return self.params.tag
 
     @property
-    def predicted(self) -> TorsionClass:
-        return TorsionClass(self.params)
+    def predicted(self) -> Witness:
+        return self.params
 
 
 def sample_case(case_tag: str, bound: int) -> list[FamilySample]:

@@ -6,14 +6,18 @@ One line per criterion is printed on success; a failure carries the full
 list of violations in its assertion message.
 """
 
+import hashlib
 import math
+import sys
 from collections import Counter
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import pytest
 from reference import add, case_witnesses, double_x, evaluate, is_halvable
 
 from eventorsion.classifier import (
+    Witness,
     check_case_i,
     check_case_iii,
     check_case_iv,
@@ -21,7 +25,8 @@ from eventorsion.classifier import (
     full_report,
     generator,
 )
-from eventorsion.curve import CurveMND, Point, order
+from eventorsion.corpus import CorpusRecord
+from eventorsion.curve import CurveMND, Point, normalize, order
 from eventorsion.family import sample_case, sweep_curves
 from eventorsion.intmath import int_sqrt, is_squarefree
 from eventorsion.oracle import (
@@ -33,6 +38,7 @@ from eventorsion.oracle import (
 
 SWEEP_BOUNDS = (60, 60, 30)
 Z12_BOUNDS = (500, 500, 50)
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 # x(2P) for the paper's generator P of each class: 0 (Z4), c^2 (Z6),
 # (u^2-v^2)^2 (Z8), v^2 (Z10), u^2 (Z12).
@@ -63,14 +69,13 @@ def _doubling_mismatches(c, cls, gen):
     STATED_DOUBLED_X, and for Z10 also x(2*(3P)) = u^2.  Each mismatch is
     (curve, class, witness, stated, group-law value)."""
     key = (c.m, c.n, c.D)
-    w = cls.witness
     p2 = add(c, gen, gen)
-    checks = [(cls.label, p2.x, STATED_DOUBLED_X[cls.order](w))]
+    checks = [(cls.label, p2.x, STATED_DOUBLED_X[cls.order](cls))]
     if cls.order == 10:
         p3 = add(c, gen, p2)
-        checks.append(("Z10 (3P)", add(c, p3, p3).x, w.u**2))
+        checks.append(("Z10 (3P)", add(c, p3, p3).x, cls.u**2))
     return [
-        (key, label, w.params, expected, int(actual))
+        (key, label, cls.params, expected, int(actual))
         for label, actual, expected in checks
         if actual != expected
     ]
@@ -78,22 +83,25 @@ def _doubling_mismatches(c, cls, gen):
 
 def _tree_witness(ws):
     """The decision tree of `classify` applied to all five case witnesses:
-    IV when I and III both hold, else II or I, else III, else V."""
+    IV when I and III both hold, else II or I, else III, else V, else Z2's
+    Witness()."""
     if ws["I"] is not None and ws["III"] is not None:
         return ws["IV"]
     if ws["I"] is not None:
         return ws["I"] if ws["II"] is None else ws["II"]
-    return ws["V"] if ws["III"] is None else ws["III"]
+    if ws["III"] is not None:
+        return ws["III"]
+    return Witness() if ws["V"] is None else ws["V"]
 
 
-def _bound_violations(c, witness, ws):
+def _bound_violations(c, cls, ws):
     """classify skips the checks the reduction bound g rules out: the
-    unfiltered witnesses ws must reach the classifier's witness, and each
+    unfiltered witnesses ws must reach the classifier's class cls, and each
     witness found must have an order that divides g.  Each violation is
     (curve, g, what failed)."""
     key, g = (c.m, c.n, c.D), reduction_bound(c)
     violations = [(key, g, tag) for tag, w in ws.items() if w is not None and g % w.order]
-    if _tree_witness(ws) != witness:
+    if _tree_witness(ws) != cls:
         violations.append((key, g, "unfiltered tree differs"))
     return violations
 
@@ -173,7 +181,7 @@ def sweep() -> SweepData:
         if (ws["IV"] is not None) != (has_i and has_iii):
             data.tree_violations.append((key, "IV does not match I-and-III"))
 
-        data.bound_violations += _bound_violations(c, cls.witness, ws)
+        data.bound_violations += _bound_violations(c, cls, ws)
         if has_i:
             w = ws["I"]
             forbidden = -(w.a**2 - w.b**2 * c.D)
@@ -368,7 +376,7 @@ def test_reduction_bound_filter_across_sweep(sweep):
     ]
     violations, bounds = list(sweep.bound_violations), Counter()
     for c in samples:
-        violations += _bound_violations(c, classify(c).witness, case_witnesses(c))
+        violations += _bound_violations(c, classify(c), case_witnesses(c))
         bounds[reduction_bound(c)] += 1
     assert not violations, violations
     print(
@@ -376,3 +384,32 @@ def test_reduction_bound_filter_across_sweep(sweep):
         f"{len(samples)} family samples (g: {dict(sorted(bounds.items()))}): "
         "unfiltered checks give the classifier's witness, every witness order divides g"
     )
+
+
+def _witness_token(w):
+    return "-" if w is None else f"{w.tag}:" + ",".join(map(str, w.params))
+
+
+def test_witness_digest():
+    # One line per curve: its record (class, witness, generator) and the
+    # tokens of all five unfiltered case witnesses, I..V.  The curves are
+    # the sweep box, the benchmark's fixed large-height pool, the family
+    # samples up to the benchmark's bounds (IV at 25, its first Z12 curves),
+    # and every 12th sweep curve with n negated.
+    if str(PERFBENCH) not in sys.path:
+        sys.path.insert(0, str(PERFBENCH))
+    import workloads
+
+    sweep = list(sweep_curves(*SWEEP_BOUNDS))
+    curves = sweep + [normalize(*workloads.large_height_input(i)) for i in range(4000)]
+    for tag, bound in (("I", 8), ("II", 10), ("III", 11), ("IV", 25), ("V", 60)):
+        curves += [s.curve for s in sample_case(tag, bound)]
+    curves += [normalize(c.m, -c.n, c.D) for c in sweep[::12][:20000]]
+    digest = hashlib.sha256()
+    for c in curves:
+        tokens = " ".join(map(_witness_token, case_witnesses(c).values()))
+        line = f"{CorpusRecord.from_report(full_report(c)).to_line()} {tokens}\n"
+        digest.update(line.encode())
+    assert len(curves) == 266607
+    assert digest.hexdigest() == "6fe43d152e294868902d1a2e57edc4c5bb7249b807e3b09b7d6ca40d60c4c349"
+    print(f"witness digest PASS on {len(curves)} curves")

@@ -14,7 +14,7 @@ from eventorsion import intmath
 from eventorsion.classifier import (
     CASES,
     NonSquareYError,
-    TorsionClass,
+    Witness,
     WitnessI,
     WitnessII,
     WitnessIII,
@@ -413,16 +413,26 @@ class TestClassify:
                 continue
             assert classify(c).order == 2
 
-    def test_z2_is_one_witnessless_class(self):
+    def test_z2_is_one_parameterless_witness(self):
+        # Odd n, and even n with reduction bound g = 2.
         odd, even = classify(CurveMND(1, 1, 2)), classify(C523)
-        assert odd == even == TorsionClass(None)
         assert odd is even
+        assert odd == Witness() and hash(odd) == hash(Witness())
+
+    def test_z2_witness(self):
+        w = Witness()
+        assert (w.tag, w.label, w.order, w.params) == (None, "Z2", 2, ())
+        assert w.generator_x(C523.D) == 0
+        assert generator(C523, w) == Point(0, 0)
+
+    def test_labels_follow_orders(self):
+        assert all(case.label == f"Z{case.order}" for case in CASES.values())
 
     def test_witness_reconstruction(self):
         for c in (C322, C323, C2387, C59246, C953210, Z12_CURVE):
-            cls = classify(c)
-            if cls.witness is not None:
-                assert cls.witness.curve_mn(c.D) == (c.m, c.n)
+            w = classify(c)
+            assert w.tag is not None
+            assert w.curve_mn(c.D) == (c.m, c.n)
 
     def test_case_table(self):
         # Tag -> (class order, exact); I and III only show containment.
@@ -473,13 +483,12 @@ class TestGenerator:
     def test_z10_five_torsion_x_is_u_squared(self):
         # x(P5) = u^2 and |y(P5)| = |u (u^2 - v^2 + 2us)|; the double of the
         # generator lands on the complementary order-5 x, which is v^2.
-        cls = classify(C953210)
-        w = cls.witness
+        w = classify(C953210)
         p5 = Point(w.u**2, abs(w.u * (w.u**2 - w.v**2 + 2 * w.u * w.s)))
         assert p5 == Point(81, 1296)
         assert C953210.contains(p5)
         assert order(C953210, p5) == 5
-        gen = generator(C953210, cls)
+        gen = generator(C953210, w)
         assert add(C953210, gen, gen).x == w.v**2
 
     def test_z10_doubled_x_is_v_squared_symbolically(self):
@@ -502,9 +511,8 @@ class TestGenerator:
 
     def test_z8_degree_four_identity(self):
         # (x - (u^2 - v^2)^2)^4 == 16 u^4 (u^2 - v^2)^2 x^2 at the generator
-        cls = classify(C2387)
-        w = cls.witness
-        x = cls.witness.generator_x(C2387.D)
+        w = classify(C2387)
+        x = w.generator_x(C2387.D)
         lhs = (x - (w.u**2 - w.v**2) ** 2) ** 4
         rhs = 16 * w.u**4 * (w.u**2 - w.v**2) ** 2 * x * x
         assert lhs == rhs
@@ -516,11 +524,11 @@ class TestGenerator:
         b = w.v**2 + w.w**2 * d
         h = 2 * (a * a + 2 * w.u**2 * b - 3 * w.u**4)
         e = a * a + w.u**4 - 2 * w.u**2 * b
-        x = classify(Z12_CURVE).witness.generator_x(d)
+        x = classify(Z12_CURVE).generator_x(d)
         assert x**4 - 4 * w.u**2 * x**3 - h * x * x - 4 * w.u**2 * e * x + e * e == 0
 
     def test_inconsistent_witness_raises(self):
-        bogus = TorsionClass(WitnessI(5, 7))
+        bogus = WitnessI(5, 7)
         with pytest.raises(NonSquareYError):
             generator(C322, bogus)
 
@@ -626,7 +634,8 @@ class TestLayerAttributes:
     def test_full_report_z2_skips_generator_and_order(self, calls, with_oracle):
         for c in self.Z2_CURVES:
             rep = full_report(c, with_oracle=with_oracle)
-            assert rep.cls.witness is None
+            assert rep.cls is classify(c)
+            assert rep.cls == Witness()
             assert rep.generator == Point(0, 0)
             assert rep.agree is (True if with_oracle else None)
         assert calls["generator"] == 0

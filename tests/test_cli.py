@@ -367,7 +367,7 @@ class TestMismatchExit:
         assert err == "curves=28 Z2=26 Z4=2 disagreements=2\n"
 
     def test_sample_prediction_mismatches_exit_1(self, capsys, monkeypatch):
-        monkeypatch.setattr(classifier, "classify", lambda c: classifier.TorsionClass(None))
+        monkeypatch.setattr(classifier, "classify", lambda c: classifier.Witness())
         code, out, err = run(capsys, "sample", "I", "1")
         assert code == EXIT_MISMATCH
         assert len(out.splitlines()) == 3
@@ -397,6 +397,28 @@ class TestRecordStream:
             assert err == "curves=9060 Z2=8979 Z4=67 Z6=13 Z8=1 disagreements=0\n"
         else:
             assert err.endswith(" disagreements=0 prediction_mismatches=0\n")
+
+
+class TestWorkflowPins:
+    """The console-script outputs that .github/workflows/tests.yml pins by
+    sha256 and no other test here checks byte for byte.  The digests are
+    the workflow's; a change to either side must change both."""
+
+    DIGESTS = {
+        # Z2 by even n with reduction bound 2, and by odd n: "witness: none".
+        "classify 5 2 3 --oracle": "9ecedd3adfd086c44455209339e0994a2af518a39dc6eb24ba810a1d4306481d",
+        "classify 5 3 2 --oracle": "272f675c4087fd9050013cf4820eeaec952f6b600147b72dab2dc065d3e6b7ec",
+        "classify -366 30 -15 --oracle": "f2e8e8de407809549a25e988ecef46e6fe50859c4564cc2f3563fe6e80a9338f",
+        "oracle 5 2 3": "9a1154032549573667f781ce93bb960bf534ee0255bf1c033fe286061a246622",
+        "oracle 5 614889782588491410 3": "1869d38778e0f76eb75c0fa2855c7df077bacd58e5c665ba3fca1e998820c945",
+        "sample V 60 --oracle": "b0fa53076f1ccdf1a7bd2d2f484a01da08e83be7566c4c66d73c7dc74339fd34",
+    }
+
+    @pytest.mark.parametrize("argv", DIGESTS)
+    def test_output_digest(self, capsys, argv):
+        code, out, _ = run(capsys, *argv.split())
+        assert code == EXIT_OK
+        assert hashlib.sha256(out.encode()).hexdigest() == self.DIGESTS[argv]
 
 
 class TestLargeInputs:

@@ -6,7 +6,15 @@ from conftest import int_digit_limit
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from eventorsion.classifier import CASES, WitnessII, WitnessIII, WitnessV, full_report
+from eventorsion.classifier import (
+    CASES,
+    Witness,
+    WitnessII,
+    WitnessIII,
+    WitnessV,
+    classify,
+    full_report,
+)
 from eventorsion.corpus import CorpusFormatError, CorpusRecord
 from eventorsion.curve import CurveMND
 
@@ -24,7 +32,7 @@ FIELD_ORDER = (
 
 
 class TestWitnessTokens:
-    RECORD = CorpusRecord(3, 2, 2, "Z4", None, -1, 2, 4, True)
+    RECORD = CorpusRecord(3, 2, 2, "Z4", Witness(), -1, 2, 4, True)
 
     def read(self, token):
         """The witness from_line reads from a record line carrying token."""
@@ -36,8 +44,8 @@ class TestWitnessTokens:
         return json.loads(self.RECORD._replace(witness=witness).to_line())["witness"]
 
     def test_none(self):
-        assert self.token(None) is None
-        assert self.read(None) is None
+        assert self.token(Witness()) is None
+        assert self.read(None) == Witness()
 
     def test_roundtrip(self):
         w = WitnessV(4, 4, 9, -3)
@@ -73,9 +81,16 @@ class TestCorpusRecord:
                 rec = self.record(triple, oracle)
                 assert CorpusRecord.from_line(rec.to_line()) == rec
 
+    def test_z2_record_reads_back_the_classifiers_witness(self):
+        # Odd n, and even n with reduction bound g = 2.
+        for c in (CurveMND(5, 3, 2), CurveMND(5, 2, 3)):
+            line = CorpusRecord.from_report(full_report(c)).to_line()
+            assert '"witness": null' in line
+            assert CorpusRecord.from_line(line).witness is classify(c)
+
     def test_huge_integers_survive(self):
         rec = CorpusRecord(
-            m=10**40, n=1, D=2, cls="Z2", witness=None,
+            m=10**40, n=1, D=2, cls="Z2", witness=Witness(),
             generator_x=-(10**41), generator_y=0, oracle_order=None, agree=None,
         )
         assert CorpusRecord.from_line(rec.to_line()) == rec
@@ -140,7 +155,7 @@ class TestCorpusRecord:
         assert rec == (95, 32, 10, "Z10", WitnessV(4, 4, 9, 3), -15, 240, 10, True)
         c, gen = report.curve, report.generator
         assert (rec.m, rec.n, rec.D) == (c.m, c.n, c.D)
-        assert (rec.cls, rec.witness) == (report.cls.label, report.cls.witness)
+        assert (rec.cls, rec.witness) == (report.cls.label, report.cls)
         assert (rec.generator_x, rec.generator_y) == (gen.x, gen.y)
         assert (rec.oracle_order, rec.agree) == (report.oracle_group.order, report.agree)
 
@@ -155,7 +170,7 @@ def json_line(record):
     the witness written as TAG:p1,p2,... over its fields in order."""
     w = record.witness
     token = None
-    if w is not None:
+    if w.tag is not None:
         token = f"{w.tag}:" + ",".join(str(getattr(w, f.name)) for f in fields(w))
     return json.dumps(
         {
@@ -174,7 +189,7 @@ def json_line(record):
 
 HUGE = 10**4400 + 1  # past Python's default 4300-digit limit
 INTS = st.integers() | st.just(HUGE) | st.just(-HUGE)
-WITNESSES = st.none() | st.one_of(
+WITNESSES = st.just(Witness()) | st.one_of(
     *(st.builds(case, *[INTS] * len(fields(case))) for case in CASES.values())
 )
 RECORDS = st.builds(

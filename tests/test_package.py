@@ -12,7 +12,6 @@ PUBLIC = [
     "InvalidCurveError",
     "NonSquareYError",
     "Point",
-    "TorsionClass",
     "TorsionGroup",
     "Witness",
     "WitnessI",
@@ -38,7 +37,7 @@ PUBLIC = [
 
 
 def test_public_surface():
-    assert PUBLIC == sorted(PUBLIC) and len(PUBLIC) == 31
+    assert PUBLIC == sorted(PUBLIC) and len(PUBLIC) == 30
     assert eventorsion.__all__ == PUBLIC
     assert all(hasattr(eventorsion, name) for name in PUBLIC)
     namespace = {}
