@@ -38,7 +38,12 @@ so that order divides the oracle's `reduction_bound` g.  Case I runs only
 when 4 | g, case III when 3 | g and case V when 5 | g, and II and IV still
 ride on I and III.  On most curves g rules out 3 and 5, and then n/2 is
 never factored.  The `--oracle` cross-check shares `reduction_bound` with
-the classifier; the `check_case_*` functions themselves run unfiltered.
+the classifier: with the oracle on, `full_report` computes g once and passes
+it to both `classify` and `oracle.torsion_group`.  The `check_case_*`
+functions themselves run unfiltered.
+
+Case III allows a = 0 when b and c are nonzero: a^2 - b^2*D = c^2 then needs
+D = -1, and the one normalized curve is (-1, 2, -1), with witness (0, 1, 1).
 """
 
 from __future__ import annotations
@@ -219,7 +224,7 @@ class WitnessIII(Witness, tag="III", order=6, exact=False):
 
     def holds(self, d: int) -> bool:
         a, b, c = self.a, self.b, self.c
-        return a * b * c != 0 and a * a - b * b * d == c * c and math.gcd(a, b, c) == 1
+        return b * c != 0 and a * a - b * b * d == c * c and math.gcd(a, b, c) == 1
 
     def curve_mn(self, d: int) -> tuple[int, int]:
         return (
@@ -389,7 +394,7 @@ def check_case_v(c: CurveMND) -> WitnessV | None:
     return _first_witness(WitnessV, c)
 
 
-def classify(c: CurveMND) -> Witness:
+def classify(c: CurveMND, g: int | None = None) -> Witness:
     """Decide the torsion class of a normalized curve: the witness that
     decides it, `_Z2` for Z2.
 
@@ -399,10 +404,13 @@ def classify(c: CurveMND) -> Witness:
     with neither, case V gives Z10; everything else is Z2.  Odd n is Z2 at
     once, since every case forces n even; otherwise cases I, III and V run
     only when the reduction bound g admits their point of order 4, 3 or 5.
+    g is `oracle.reduction_bound(c)`, computed here unless the caller
+    already has it.
     """
     if c.n % 2:
         return _Z2
-    g = _oracle.reduction_bound(c)
+    if g is None:
+        g = _oracle.reduction_bound(c)
     w1 = check_case_i(c) if g % 4 == 0 else None
     w3 = check_case_iii(c) if g % 3 == 0 else None
     if w1 is not None and w3 is not None:
@@ -445,9 +453,12 @@ def full_report(c: CurveMND, with_oracle: bool = False) -> ClassificationReport:
     A Z2 report takes (0, 0) as its generator without calling `generator`
     or `order`: rhs(0) = 0 puts (0, 0) on every curve, and with y = 0 it
     doubles to infinity.  A case witness builds its generator and checks
-    that its order is the class's order.
+    that its order is the class's order.  With the oracle, the reduction
+    bound is computed once here and passed to both `classify` and
+    `oracle.torsion_group`.
     """
-    cls = classify(c)
+    g = _oracle.reduction_bound(c) if with_oracle else None
+    cls = classify(c, g)
     if cls.tag is None:
         gen = _ORIGIN
     else:
@@ -459,6 +470,6 @@ def full_report(c: CurveMND, with_oracle: bool = False) -> ClassificationReport:
             )
     if not with_oracle:
         return ClassificationReport(c, cls, gen, None, None)
-    group = _oracle.torsion_group(c)
+    group = _oracle.torsion_group(c, g)
     return ClassificationReport(c, cls, gen, group, group.order == cls.order)
 

@@ -68,11 +68,12 @@ def cmd_classify(args: argparse.Namespace) -> int:
 
 def cmd_oracle(args: argparse.Namespace) -> int:
     c = normalize(args.m, args.n, args.D)
-    group = _oracle.torsion_group(c)
+    bound = _oracle.reduction_bound(c)
+    group = _oracle.torsion_group(c, bound)
     with _open_out(args.out) as out:
         print(f"curve {c}", file=out)
         print(f"structure: {group.structure} (order {group.order})", file=out)
-        print(f"reduction bound: {_oracle.reduction_bound(c)}", file=out)
+        print(f"reduction bound: {bound}", file=out)
         print(f"elements: {', '.join(str(p) for p in group.elements)}", file=out)
         print(f"generators: {group.generator}", file=out)
     return EXIT_OK
@@ -199,7 +200,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "sweep",
-        help="classify every normalized curve with |m|<=m_max, n<=n_max, |D|<=d_max",
+        help="classify every normalized curve with |m|<=m_max, n<=n_max, 2<=|D|<=d_max",
     )
     p.add_argument("m_max", type=int)
     p.add_argument("n_max", type=int)

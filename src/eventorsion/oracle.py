@@ -29,8 +29,9 @@ before any point is built.  That skips the check for three points of
 order 2, which cannot fail there: with full rational 2-torsion, E(F_p)
 contains Z/2 x Z/2 at every good odd p, so 4 divides g.  Otherwise a
 condition of order k is solved only when k divides g.  The classifier
-reads the same bound to skip the case checks it rules out, but nothing
-here uses the classifier: the structural inputs are the integrality of
+reads the same bound to skip the case checks it rules out, and its
+`full_report` computes g once and passes it to both sides; nothing here
+uses the classifier: the structural inputs are the integrality of
 torsion points, the group law, the injection theorem and Mazur's list of
 cyclic orders.
 """
@@ -211,15 +212,17 @@ def _torsion_points(c: CurveMND, xs: Iterable[int], found: set[Point]) -> list[P
     return points
 
 
-def torsion_group(c: CurveMND) -> TorsionGroup:
+def torsion_group(c: CurveMND, bound: int | None = None) -> TorsionGroup:
     """Find the full rational torsion group of the curve.
 
     When the reduction bound g is 2 the group is {infinity, (0, 0)},
     returned before any point is built.  Otherwise each torsion condition
     is solved only when g allows its order: order 4 when 4 | g, order 8
-    when 8 | g, order 3 when 3 | g, order 5 when 5 | g.
+    when 8 | g, order 3 when 3 | g, order 5 when 5 | g.  g is
+    `reduction_bound(c)`, computed here unless passed as bound.
     """
-    bound = reduction_bound(c)
+    if bound is None:
+        bound = reduction_bound(c)
     if bound == 2:
         return _Z2
     m, q = c.m, c.q

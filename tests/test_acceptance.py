@@ -26,7 +26,7 @@ from eventorsion.classifier import (
     generator,
 )
 from eventorsion.corpus import CorpusRecord
-from eventorsion.curve import CurveMND, Point, normalize, order
+from eventorsion.curve import CurveMND, InvalidCurveError, Point, normalize, order
 from eventorsion.family import sample_case, sweep_curves
 from eventorsion.intmath import int_sqrt, is_squarefree
 from eventorsion.oracle import (
@@ -198,6 +198,26 @@ def test_criterion_1_exhaustive_oracle_agreement(sweep):
         f"criterion 1 PASS: {sweep.total} curves at bounds {sweep.bounds}, "
         f"0 disagreements ({counts})"
     )
+
+
+def test_d_minus_1_oracle_agreement():
+    # sweep_curves takes 2 <= |D|, so the sweep box has no D = -1 curve,
+    # the only D where a case-III witness can have a = 0 (on (-1, 2, -1)).
+    curves = []
+    for m in range(-60, 61):
+        for n in range(1, 61):
+            try:
+                curves.append(CurveMND(m, n, -1))
+            except InvalidCurveError:
+                continue
+    disagreements = []
+    for c in curves:
+        report = full_report(c, with_oracle=True)
+        if not report.agree:
+            disagreements.append(((c.m, c.n), report.cls.label, report.oracle_group.structure))
+    assert len(curves) == 6707
+    assert not disagreements, disagreements
+    print(f"D = -1 slice PASS: {len(curves)} curves with |m|, n <= 60, 0 disagreements")
 
 
 def test_criterion_2_pinned_examples():

@@ -30,6 +30,7 @@ from eventorsion.classifier import (
     generator,
 )
 from eventorsion.curve import CurveMND, InvalidCurveError, Point, order
+from eventorsion.oracle import reduction_bound, torsion_group
 
 # First curve with full Z12, by sweep order over |m| <= 500, n <= 500,
 # |D| <= 50; frozen after confirming against the enumeration oracle.
@@ -108,6 +109,17 @@ class TestCaseIII:
 
     def test_322_absent(self):
         assert check_case_iii(C322) is None
+
+    def test_zero_a_at_d_minus_1(self):
+        # (0, 1, 1) gives m = b^2*D = -1, n = 2b(a + c) = 2 and
+        # a^2 - b^2*D = c^2; a = 0 needs -b^2*D = c^2, so D = -1, and this
+        # is the only normalized curve with such a witness.
+        c = CurveMND(-1, 2, -1)
+        assert check_case_iii(c) == WitnessIII(0, 1, 1)
+        rep = full_report(c, with_oracle=True)
+        assert rep.cls == WitnessIII(0, 1, 1)
+        assert rep.generator == Point(5, 10)
+        assert rep.oracle_group.order == 6 and rep.agree is True
 
 
 class TestCaseIV:
@@ -653,3 +665,33 @@ class TestLayerAttributes:
                 "check_case_v": 3,
             }
         )
+
+
+class TestOneReductionBound:
+    """full_report computes the reduction bound g at most once per curve:
+    with the oracle it hands one g to both classify and torsion_group;
+    without it, classify computes g itself, and only at even n."""
+
+    @pytest.fixture
+    def bound_calls(self, monkeypatch):
+        calls = []
+        real = classifier_module._oracle.reduction_bound
+        monkeypatch.setattr(
+            classifier_module._oracle, "reduction_bound", lambda c: calls.append(c) or real(c)
+        )
+        return calls
+
+    # Z2 by odd n, Z2 by g = 2 at even n, and Z12.
+    @pytest.mark.parametrize(
+        "curve,calls_without_oracle",
+        [(CurveMND(5, 3, 2), 0), (C523, 1), (Z12_CURVE, 1)],
+        ids=["odd n", "g = 2", "Z12"],
+    )
+    @pytest.mark.parametrize("with_oracle", [False, True])
+    def test_calls_per_curve(self, bound_calls, curve, calls_without_oracle, with_oracle):
+        full_report(curve, with_oracle=with_oracle)
+        assert len(bound_calls) == (1 if with_oracle else calls_without_oracle)
+
+    @pytest.mark.parametrize("curve", TestLayerAttributes.CURVES)
+    def test_oracle_takes_the_bound(self, curve):
+        assert torsion_group(curve, reduction_bound(curve)) == torsion_group(curve)

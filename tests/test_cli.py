@@ -352,7 +352,7 @@ class TestMismatchExit:
     @pytest.fixture
     def z2_oracle(self, monkeypatch):
         group = oracle.TorsionGroup((curve.INFINITY, curve.Point(0, 0)), curve.Point(0, 0))
-        monkeypatch.setattr(classifier._oracle, "torsion_group", lambda c: group)
+        monkeypatch.setattr(classifier._oracle, "torsion_group", lambda c, bound=None: group)
 
     def test_classify_disagreement_exits_1(self, capsys, z2_oracle):
         code, out, err = run(capsys, "classify", "3", "2", "2", "--oracle")
@@ -367,7 +367,7 @@ class TestMismatchExit:
         assert err == "curves=28 Z2=26 Z4=2 disagreements=2\n"
 
     def test_sample_prediction_mismatches_exit_1(self, capsys, monkeypatch):
-        monkeypatch.setattr(classifier, "classify", lambda c: classifier.Witness())
+        monkeypatch.setattr(classifier, "classify", lambda c, g=None: classifier.Witness())
         code, out, err = run(capsys, "sample", "I", "1")
         assert code == EXIT_MISMATCH
         assert len(out.splitlines()) == 3
@@ -409,6 +409,8 @@ class TestWorkflowPins:
         "classify 5 2 3 --oracle": "9ecedd3adfd086c44455209339e0994a2af518a39dc6eb24ba810a1d4306481d",
         "classify 5 3 2 --oracle": "272f675c4087fd9050013cf4820eeaec952f6b600147b72dab2dc065d3e6b7ec",
         "classify -366 30 -15 --oracle": "f2e8e8de407809549a25e988ecef46e6fe50859c4564cc2f3563fe6e80a9338f",
+        # Z6 through case III's one witness with a = 0, III(0, 1, 1), at D = -1.
+        "classify -1 2 -1 --oracle": "42485662e33ab1055a7e260b1c48aab75088f5604ed2b2d9383260a05697e89d",
         "oracle 5 2 3": "9a1154032549573667f781ce93bb960bf534ee0255bf1c033fe286061a246622",
         "oracle 5 614889782588491410 3": "1869d38778e0f76eb75c0fa2855c7df077bacd58e5c665ba3fca1e998820c945",
         "sample V 60 --oracle": "b0fa53076f1ccdf1a7bd2d2f484a01da08e83be7566c4c66d73c7dc74339fd34",
