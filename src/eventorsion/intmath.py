@@ -9,17 +9,24 @@ is used anywhere in the package.
 nothing, and raises ValueError on a non-squarefree one after a number of
 bad primes bounded by the bit lengths of its coefficients.
 
+`squarefree_split` reads a number's square part off a gcd ladder on the
+product P of the primes below 1000: g_1 = gcd(|x|, P), and with each g_k
+divided out, g_(k+1) = gcd(what is left, g_k) is the product of the small
+primes whose exponent is at least k + 1.  The square part is
+g_2*g_4*..., the squarefree part (g_1/g_2)*(g_3/g_4)*..., and no prime
+below 1000 is divided out on its own.  What the ladder leaves has no prime
+factor below 1000, so below 1009^3 it is 1, p, p^2 or pq, and its square
+part is read off `int_sqrt`; only from 1009^3 up is it factored.
+
 Factoring divides out the primes below 1000, screening each chunk of them
 with one gcd, proves larger cofactors prime with deterministic Miller-Rabin
 on as many prime bases as the cofactor's size needs (the proven thresholds
 of OEIS A014233) and splits composite ones with Brent's variant of Pollard
-rho.  `squarefree_split` factors no cofactor below 1009^3: with the primes
-below 1000 out, such a cofactor is 1, p, p^2 or pq, and its square part is
-read off `int_sqrt`.  Results are exact.  Two kinds of cofactor are out of
-reach and raise FactoringLimitError instead of a guess or a stall: a
-probable prime at or above 3.3*10^24, where the Miller-Rabin bases are no
-longer proven, and a composite that rho cannot split within its fixed step
-budget, which happens when its smallest prime factor is beyond ~10^15.
+rho.  Results are exact.  Two kinds of cofactor are out of reach and raise
+FactoringLimitError instead of a guess or a stall: a probable prime at or
+above 3.3*10^24, where the Miller-Rabin bases are no longer proven, and a
+composite that rho cannot split within its fixed step budget, which
+happens when its smallest prime factor is beyond ~10^15.
 """
 
 from __future__ import annotations
@@ -49,6 +56,8 @@ def _sieve(limit: int) -> tuple[int, ...]:
 
 
 _SMALL_PRIMES = _sieve(1000)
+# The 1,380-bit product of the primes below 1000, for squarefree_split.
+_SMALL_PRODUCT = math.prod(_SMALL_PRIMES)
 # Trial division takes the primes below 1000 in chunks of 12 and divides by a
 # chunk's primes only when one gcd with their product says one of them
 # divides.
@@ -270,14 +279,19 @@ def _proper_divisor(n: int) -> int:
             return g
 
 
-def _trial_divide(x: int) -> tuple[list[tuple[int, int]], int]:
-    """((p, e), ...) over the primes p < 1000 dividing x != 0, ascending, and
-    the cofactor of |x| they leave: 1, a prime below _PRIME_BELOW, or a
-    number with no prime factor below 1000."""
+@lru_cache(maxsize=1 << 15)
+def factorization(x: int) -> tuple[tuple[int, int], ...]:
+    """Prime factorization of |x| as ((p, e), ...) with ascending p.  x != 0.
+
+    Divides out the primes below 1000, then splits what is left with
+    Brent's rho, proving each part prime with Miller-Rabin.  Raises
+    FactoringLimitError for a cofactor out of reach (see the module
+    docstring); never returns a factor that is not proven prime.
+    """
     if x == 0:
         raise ValueError("cannot factor 0")
     a = abs(x)
-    found = []
+    exps = {}
     for chunk, product in _TRIAL_CHUNKS:
         if chunk[0] * chunk[0] > a:
             break
@@ -290,24 +304,10 @@ def _trial_divide(x: int) -> tuple[list[tuple[int, int]], int]:
                 while a % p == 0:
                     a //= p
                     e += 1
-                found.append((p, e))
+                exps[p] = e
                 g //= p
                 if g == 1:
                     break
-    return found, a
-
-
-@lru_cache(maxsize=1 << 15)
-def factorization(x: int) -> tuple[tuple[int, int], ...]:
-    """Prime factorization of |x| as ((p, e), ...) with ascending p.  x != 0.
-
-    Divides out the primes below 1000, then splits what is left with
-    Brent's rho, proving each part prime with Miller-Rabin.  Raises
-    FactoringLimitError for a cofactor out of reach (see the module
-    docstring); never returns a factor that is not proven prime.
-    """
-    found, a = _trial_divide(x)
-    exps = dict(found)
     stack = [a] if a > 1 else []
     while stack:
         c = stack.pop()
@@ -322,24 +322,38 @@ def factorization(x: int) -> tuple[tuple[int, int], ...]:
 def squarefree_split(x: int) -> SquarefreeSplit:
     """Split x != 0 as d*d * s with s squarefree, returning (d, s).
 
-    Once the primes below 1000 are divided out, a cofactor below 1009^3 is
-    1, p, p^2 or pq, so its square part is its integer square root or 1
-    and it is never factored; a larger cofactor goes to `factorization`.
+    Each pass of the gcd ladder (see the module docstring) takes g = g_k for
+    an odd k: g/g_(k+1) goes into s and g_(k+1) into d, and the ladder stops
+    at the first rung that is 1.  The cofactor left
+    has no prime factor below 1000; below 1009^3 it is 1, p, p^2 or pq, so
+    its square part is its integer square root or 1 and it is never
+    factored; a larger cofactor goes to `factorization`.
     """
-    found, a = _trial_divide(x)
+    if x == 0:
+        raise ValueError("cannot factor 0")
+    a = abs(x)
     d = s = 1
+    g = math.gcd(a, _SMALL_PRODUCT)
+    while g > 1:
+        a //= g
+        h = math.gcd(a, g)
+        s *= g // h
+        if h == 1:
+            break
+        a //= h
+        d *= h
+        g = math.gcd(a, h)
     if a < _TWO_PRIMES_BELOW:
         r = int_sqrt(a)
         if r is None:
-            s = a
+            s *= a
         else:
-            d = r
+            d *= r
     else:
-        found += factorization(a)
-    for p, e in found:
-        d *= p ** (e // 2)
-        if e % 2:
-            s *= p
+        for p, e in factorization(a):
+            d *= p ** (e // 2)
+            if e % 2:
+                s *= p
     return SquarefreeSplit(d, s if x > 0 else -s)
 
 

@@ -75,14 +75,14 @@ class OracleError(RuntimeError):
 class TorsionGroup:
     """The full cyclic torsion group: its elements, sorted with
     infinity first and then by (x, y), and the first of them that generates
-    the group."""
+    the group.  `order`, the number of elements, is set once here: it is
+    not a field, so `==` and `repr` leave it out."""
 
     elements: tuple[Point, ...]
     generator: Point
 
-    @property
-    def order(self) -> int:
-        return len(self.elements)
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "order", len(self.elements))
 
     @property
     def structure(self) -> str:

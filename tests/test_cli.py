@@ -411,6 +411,8 @@ class TestWorkflowPins:
         "classify -366 30 -15 --oracle": "f2e8e8de407809549a25e988ecef46e6fe50859c4564cc2f3563fe6e80a9338f",
         # Z6 through case III's one witness with a = 0, III(0, 1, 1), at D = -1.
         "classify -1 2 -1 --oracle": "42485662e33ab1055a7e260b1c48aab75088f5604ed2b2d9383260a05697e89d",
+        # D = 2^41*3^7*5*1000003^2 normalizes to D = 30, n = 84934910803968: Z2.
+        "classify 7 3 24046463577593333640415150080 --oracle": "7450933c01af3cdca6c142f5c15c1d6dd45d97b1e7dfc3277c77d15333ce533a",
         "oracle 5 2 3": "9a1154032549573667f781ce93bb960bf534ee0255bf1c033fe286061a246622",
         "oracle 5 614889782588491410 3": "1869d38778e0f76eb75c0fa2855c7df077bacd58e5c665ba3fca1e998820c945",
         "sample V 60 --oracle": "b0fa53076f1ccdf1a7bd2d2f484a01da08e83be7566c4c66d73c7dc74339fd34",

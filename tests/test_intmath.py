@@ -39,6 +39,15 @@ def next_prime(x: int) -> int:
     return x
 
 
+# The primes below 1000, by trial division, and the ones at either end that
+# the planted-input strategy below draws more often.
+PRIMES_BELOW_1000 = [p for p in range(2, 1000) if all(p % r for r in range(2, math.isqrt(p) + 1))]
+EDGE_PRIMES = [2, 3, 991, 997]
+# Cofactors with no prime factor below 1000, beside a drawn prime >= 1009:
+# int_sqrt splits those below 1009^3, factorization the rest.
+COFACTORS = [1, 1009**2, 1009 * 1013, 1009**3, next_prime(1009**3 + 1)]
+
+
 def split_from_factorization(x: int) -> tuple[int, int]:
     d = s = 1
     for p, e in factorization(x):
@@ -129,10 +138,19 @@ class TestSquarefreeSplit:
             (2 * 1013**2, (1013, 2)),
             (1009**3, (1009, 1009)),
             (1009**2 * 1013, (1009, 1013)),
+            # Many rungs of the gcd ladder, and every prime below 1000 at once.
+            (2**64, (2**32, 1)),
+            (-(997**9), (997**4, -997)),
+            (math.prod(PRIMES_BELOW_1000) ** 2, (math.prod(PRIMES_BELOW_1000), 1)),
+            # Below 1009^3, so a prime missing from the ladder would reach
+            # int_sqrt as the cofactor and stay in the squarefree part.
+            (991**3, (991, 991)),
+            (-(997**3), (997, -997)),
         ],
     )
     def test_examples(self, x, expected):
         assert squarefree_split(x) == expected
+        assert is_squarefree(x) == (expected[0] == 1)
 
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
@@ -158,6 +176,27 @@ class TestSquarefreeSplit:
     @settings(max_examples=200)
     def test_two_large_primes_match_factorization(self, p, q, k):
         assert squarefree_split(k * p * q) == split_from_factorization(k * p * q)
+
+    @given(
+        st.dictionaries(
+            st.one_of(st.sampled_from(EDGE_PRIMES), st.sampled_from(PRIMES_BELOW_1000)),
+            st.integers(min_value=1, max_value=40),
+            max_size=6,
+        ),
+        st.one_of(
+            st.sampled_from(COFACTORS),
+            st.integers(min_value=1009, max_value=10**6).map(next_prime),
+        ),
+        st.sampled_from([1, -1]),
+    )
+    @settings(max_examples=300)
+    def test_planted_exponents_match_factorization(self, exps, cofactor, sign):
+        # +-prod p_i^e_i times a cofactor: each gcd-ladder rung k holds the
+        # primes with e_i >= k, up to 40 rungs.
+        x = sign * cofactor * math.prod(p**e for p, e in exps.items())
+        want = split_from_factorization(x)
+        assert squarefree_split(x) == want
+        assert is_squarefree(x) == (want[0] == 1)
 
     def test_large_prime_square_cofactor(self):
         p = 1000003
