@@ -212,7 +212,8 @@ class WitnessIII(Witness, tag="III", order=6, exact=False):
     @classmethod
     def lattice(cls, bound: int) -> Iterator[tuple[WitnessIII, int]]:
         """(a, b) in 1..bound and squarefree D != 1 in |D| <= 2*bound with
-        c = +-sqrt(a^2 - b^2*D)."""
+        c = +-sqrt(a^2 - b^2*D).  a starts at 1, so the one witness with
+        a = 0, III(0, 1, 1) of the curve (-1, 2, -1), is never yielded."""
         # (a, c) -> (-a, -c) negates n only, so a stays positive.
         ds = _squarefree_ds(bound)
         for a, b in itertools.product(range(1, bound + 1), repeat=2):

@@ -28,17 +28,13 @@ class FamilySample:
     """A case witness, its normalized curve and the predicted generator's x
     on that curve; the witness is the predicted class and carries its tag."""
 
-    params: Witness
+    predicted: Witness
     curve: CurveMND
     predicted_generator_x: int
 
     @property
     def case_tag(self) -> str:
-        return self.params.tag
-
-    @property
-    def predicted(self) -> Witness:
-        return self.params
+        return self.predicted.tag
 
 
 def sample_case(case_tag: str, bound: int) -> list[FamilySample]:

@@ -18,11 +18,12 @@ below 1000 is divided out on its own.  What the ladder leaves has no prime
 factor below 1000, so below 1009^3 it is 1, p, p^2 or pq, and its square
 part is read off `int_sqrt`; only from 1009^3 up is it factored.
 
-Factoring divides out the primes below 1000, screening each chunk of them
-with one gcd, proves larger cofactors prime with deterministic Miller-Rabin
-on as many prime bases as the cofactor's size needs (the proven thresholds
-of OEIS A014233) and splits composite ones with Brent's variant of Pollard
-rho.  Results are exact.  Two kinds of cofactor are out of reach and raise
+Factoring takes the same first rung g_1, the product of the primes below
+1000 that divide the number, and divides out only those.  It proves larger
+cofactors prime with deterministic Miller-Rabin on as many prime bases as
+the cofactor's size needs (the proven thresholds of OEIS A014233) and
+splits composite ones with Brent's variant of Pollard rho.  Results are
+exact.  Two kinds of cofactor are out of reach and raise
 FactoringLimitError instead of a guess or a stall: a probable prime at or
 above 3.3*10^24, where the Miller-Rabin bases are no longer proven, and a
 composite that rho cannot split within its fixed step budget, which
@@ -56,15 +57,10 @@ def _sieve(limit: int) -> tuple[int, ...]:
 
 
 _SMALL_PRIMES = _sieve(1000)
-# The 1,380-bit product of the primes below 1000, for squarefree_split.
+# The 1,380-bit product of the primes below 1000: its gcd with a number is
+# the product of the small primes dividing it, the first rung of the ladder
+# in squarefree_split and the screen in factorization.
 _SMALL_PRODUCT = math.prod(_SMALL_PRIMES)
-# Trial division takes the primes below 1000 in chunks of 12 and divides by a
-# chunk's primes only when one gcd with their product says one of them
-# divides.
-_TRIAL_CHUNKS = tuple(
-    (_SMALL_PRIMES[i : i + 12], math.prod(_SMALL_PRIMES[i : i + 12]))
-    for i in range(0, len(_SMALL_PRIMES), 12)
-)
 # With every prime below 1000 divided out, a composite cofactor is at least
 # 1009**2, so a cofactor below this bound is prime, and one below
 # _TWO_PRIMES_BELOW has at most two prime factors.
@@ -283,31 +279,32 @@ def _proper_divisor(n: int) -> int:
 def factorization(x: int) -> tuple[tuple[int, int], ...]:
     """Prime factorization of |x| as ((p, e), ...) with ascending p.  x != 0.
 
-    Divides out the primes below 1000, then splits what is left with
-    Brent's rho, proving each part prime with Miller-Rabin.  Raises
-    FactoringLimitError for a cofactor out of reach (see the module
+    g = gcd(|x|, _SMALL_PRODUCT) is the product of the primes below 1000
+    that divide x.  Only those are divided out, walking the primes upward
+    until g is 1; once p^2 > g, what is left of g is one prime.  The rest
+    is split with Brent's rho, each part proven prime with Miller-Rabin.
+    Raises FactoringLimitError for a cofactor out of reach (see the module
     docstring); never returns a factor that is not proven prime.
     """
     if x == 0:
         raise ValueError("cannot factor 0")
     a = abs(x)
     exps = {}
-    for chunk, product in _TRIAL_CHUNKS:
-        if chunk[0] * chunk[0] > a:
-            break
-        g = math.gcd(a, product)
+    g = math.gcd(a, _SMALL_PRODUCT)
+    for p in _SMALL_PRIMES:
         if g == 1:
+            break
+        if p * p > g:
+            # Every prime left in g is at least p, so g is one of them.
+            p = g
+        elif g % p:
             continue
-        for p in chunk:
-            if g % p == 0:
-                e = 0
-                while a % p == 0:
-                    a //= p
-                    e += 1
-                exps[p] = e
-                g //= p
-                if g == 1:
-                    break
+        e = 0
+        while a % p == 0:
+            a //= p
+            e += 1
+        exps[p] = e
+        g //= p
     stack = [a] if a > 1 else []
     while stack:
         c = stack.pop()

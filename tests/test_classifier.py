@@ -30,6 +30,7 @@ from eventorsion.classifier import (
     generator,
 )
 from eventorsion.curve import CurveMND, InvalidCurveError, Point, order
+from eventorsion.family import sample_case
 from eventorsion.oracle import reduction_bound, torsion_group
 
 # First curve with full Z12, by sweep order over |m| <= 500, n <= 500,
@@ -308,6 +309,29 @@ class TestDivisorPairs:
         monkeypatch.setattr(classifier_module._oracle, "reduction_bound", lambda c: 120)
         assert classify(C523).label == "Z2"
         assert calls == [1, 1]
+
+    def test_family_curves_have_at_most_one_witness(self):
+        # The scan returns the witness of the smallest positive first
+        # parameter, but no family curve at these bounds has two III-V
+        # witnesses to choose between.  The hit counts keep the check from
+        # passing on an empty scan.
+        curves = {
+            s.curve
+            for tag, bound in (("I", 8), ("II", 10), ("III", 11), ("IV", 25), ("V", 60))
+            for s in sample_case(tag, bound)
+        }
+        hits = Counter()
+        for c in curves:
+            for case in (WitnessIII, WitnessIV, WitnessV):
+                found = [
+                    w
+                    for w in case.candidates(c)
+                    if w.holds(c.D) and w.curve_mn(c.D) == (c.m, c.n)
+                ]
+                assert len(found) <= 1, (c, found)
+                hits[case.tag] += len(found)
+        assert len(curves) == 1146
+        assert hits == {"III": 182, "IV": 2, "V": 8}
 
 
 class TestReferenceScan:

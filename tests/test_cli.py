@@ -416,6 +416,8 @@ class TestWorkflowPins:
         "oracle 5 2 3": "9a1154032549573667f781ce93bb960bf534ee0255bf1c033fe286061a246622",
         "oracle 5 614889782588491410 3": "1869d38778e0f76eb75c0fa2855c7df077bacd58e5c665ba3fca1e998820c945",
         "sample V 60 --oracle": "b0fa53076f1ccdf1a7bd2d2f484a01da08e83be7566c4c66d73c7dc74339fd34",
+        # Genuine Z6 curves, whose case-III check factors n/2.
+        "sample III 11 --oracle": "91c394984023d1060fb0cba1d37a4af2391078df6624fbd596e3529503ac69c2",
     }
 
     @pytest.mark.parametrize("argv", DIGESTS)

@@ -69,7 +69,7 @@ class TestSampleCase:
     @pytest.mark.parametrize("tag,bound", SAMPLE_BOUNDS)
     def test_witnesses_satisfy_side_conditions(self, tag, bound):
         for s in sample_case(tag, bound):
-            assert s.params.holds(s.curve.D), s
+            assert s.predicted.holds(s.curve.D), s
 
     @pytest.mark.parametrize("tag,bound", SAMPLE_BOUNDS)
     def test_case_tag(self, tag, bound):
@@ -86,7 +86,7 @@ class TestSampleCase:
     def test_normalization_rescale_keeps_prediction(self, monkeypatch):
         self.only_scaled_953210(monkeypatch)
         [sample] = sample_case("V", 18)
-        assert sample.params == WitnessV(8, 8, 18, 6)
+        assert sample.predicted == WitnessV(8, 8, 18, 6)
         assert (sample.curve.m, sample.curve.n, sample.curve.D) == (95, 32, 10)
         assert sample.predicted_generator_x == -15
         assert int_sqrt(sample.curve.rhs(-15)) == 240

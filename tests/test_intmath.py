@@ -46,6 +46,31 @@ EDGE_PRIMES = [2, 3, 991, 997]
 # Cofactors with no prime factor below 1000, beside a drawn prime >= 1009:
 # int_sqrt splits those below 1009^3, factorization the rest.
 COFACTORS = [1, 1009**2, 1009 * 1013, 1009**3, next_prime(1009**3 + 1)]
+# Planted inputs +-prod p_i^e_i * cofactor: each gcd-ladder rung k holds the
+# primes with e_i >= k, up to 40 rungs.
+PLANTED_EXPONENTS = st.dictionaries(
+    st.one_of(st.sampled_from(EDGE_PRIMES), st.sampled_from(PRIMES_BELOW_1000)),
+    st.integers(min_value=1, max_value=40),
+    max_size=6,
+)
+PLANTED_COFACTORS = st.one_of(
+    st.sampled_from(COFACTORS),
+    st.integers(min_value=1009, max_value=10**6).map(next_prime),
+)
+
+
+def trial_factorization(x: int) -> dict[int, int]:
+    """Prime exponents of x >= 1, by trial division."""
+    exps = {}
+    p = 2
+    while p * p <= x:
+        while x % p == 0:
+            exps[p] = exps.get(p, 0) + 1
+            x //= p
+        p += 1
+    if x > 1:
+        exps[x] = exps.get(x, 0) + 1
+    return exps
 
 
 def split_from_factorization(x: int) -> tuple[int, int]:
@@ -177,22 +202,9 @@ class TestSquarefreeSplit:
     def test_two_large_primes_match_factorization(self, p, q, k):
         assert squarefree_split(k * p * q) == split_from_factorization(k * p * q)
 
-    @given(
-        st.dictionaries(
-            st.one_of(st.sampled_from(EDGE_PRIMES), st.sampled_from(PRIMES_BELOW_1000)),
-            st.integers(min_value=1, max_value=40),
-            max_size=6,
-        ),
-        st.one_of(
-            st.sampled_from(COFACTORS),
-            st.integers(min_value=1009, max_value=10**6).map(next_prime),
-        ),
-        st.sampled_from([1, -1]),
-    )
+    @given(PLANTED_EXPONENTS, PLANTED_COFACTORS, st.sampled_from([1, -1]))
     @settings(max_examples=300)
     def test_planted_exponents_match_factorization(self, exps, cofactor, sign):
-        # +-prod p_i^e_i times a cofactor: each gcd-ladder rung k holds the
-        # primes with e_i >= k, up to 40 rungs.
         x = sign * cofactor * math.prod(p**e for p, e in exps.items())
         want = split_from_factorization(x)
         assert squarefree_split(x) == want
@@ -393,6 +405,29 @@ class TestIntegerRoots:
 
 
 class TestFactorization:
+    @pytest.mark.parametrize(
+        "x,expected",
+        [
+            (997, ((997, 1),)),
+            (2 * 997, ((2, 1), (997, 1))),
+            (991 * 997, ((991, 1), (997, 1))),
+            (-(997**9), ((997, 9),)),
+            (2**64, ((2, 64),)),
+            (math.prod(PRIMES_BELOW_1000), tuple((p, 1) for p in PRIMES_BELOW_1000)),
+            (math.prod(PRIMES_BELOW_1000) ** 2, tuple((p, 2) for p in PRIMES_BELOW_1000)),
+        ],
+    )
+    def test_examples(self, x, expected):
+        assert factorization(x) == expected
+
+    @given(PLANTED_EXPONENTS, PLANTED_COFACTORS, st.sampled_from([1, -1]))
+    @settings(max_examples=300)
+    def test_planted_exponents(self, exps, cofactor, sign):
+        # Checked against the planted exponents themselves; the cofactor has
+        # no prime below 1000, so its primes are new keys.
+        x = sign * cofactor * math.prod(p**e for p, e in exps.items())
+        assert factorization(x) == tuple(sorted((exps | trial_factorization(cofactor)).items()))
+
     @given(st.integers(min_value=2, max_value=10**6))
     @settings(max_examples=200)
     def test_reconstruction(self, x):
