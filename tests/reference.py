@@ -40,9 +40,9 @@ def double_x(c: CurveMND, p: Point) -> int | Fraction:
     return t * t
 
 
-def discriminant(a2, a4, a6) -> Fraction:
-    """Discriminant of y^2 = x^3 + a2*x^2 + a4*x + a6, from its b-invariants."""
-    a2, a4, a6 = Fraction(a2), Fraction(a4), Fraction(a6)
+def discriminant(a2, a4, a6) -> int | Fraction:
+    """Discriminant of y^2 = x^3 + a2*x^2 + a4*x + a6, from its b-invariants:
+    an int for int coefficients, a Fraction for Fractions."""
     b2 = 4 * a2
     b4 = 2 * a4
     b6 = 4 * a6
@@ -54,8 +54,8 @@ def j_invariant(a2, a4, a6) -> Fraction:
     disc = discriminant(a2, a4, a6)
     if disc == 0:
         raise SingularCurveError("j undefined for singular cubic")
-    c4 = 16 * Fraction(a2) ** 2 - 48 * Fraction(a4)
-    return c4**3 / disc
+    c4 = 16 * a2**2 - 48 * a4
+    return Fraction(c4**3, disc)
 
 
 def evaluate(coeffs: list[int], x: int | Fraction) -> int | Fraction:

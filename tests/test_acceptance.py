@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import pytest
-from reference import add, case_witnesses, double_x, evaluate, is_halvable
+from reference import add, case_witnesses, double_x, evaluate, is_halvable, j_invariant
+from test_cli import PINS
 
 from eventorsion.classifier import (
     Witness,
@@ -37,6 +38,9 @@ from eventorsion.oracle import (
 )
 
 SWEEP_BOUNDS = (60, 60, 30)
+# perfbench's families bounds, but case IV at 25, where its two Z12 curves
+# appear.
+FAMILY_BOUNDS = (("I", 8), ("II", 10), ("III", 11), ("IV", 25), ("V", 60))
 Z12_BOUNDS = (500, 500, 50)
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -110,6 +114,7 @@ def _bound_violations(c, cls, ws):
 class SweepData:
     bounds: tuple
     total: int = 0
+    records: "hashlib._Hash" = field(default_factory=hashlib.sha256)
     class_counts: Counter = field(default_factory=Counter)
     disagreements: list = field(default_factory=list)
     shape_violations: list = field(default_factory=list)
@@ -135,6 +140,7 @@ def sweep() -> SweepData:
         key = (c.m, c.n, c.D)
         data.total += 1
         data.class_counts[cls.label] += 1
+        data.records.update(f"{CorpusRecord.from_report(report).to_line()}\n".encode())
 
         # criterion 1: exact classifier/oracle agreement
         if not report.agree:
@@ -198,6 +204,16 @@ def test_criterion_1_exhaustive_oracle_agreement(sweep):
         f"criterion 1 PASS: {sweep.total} curves at bounds {sweep.bounds}, "
         f"0 disagreements ({counts})"
     )
+
+
+def test_sweep_record_stream(sweep):
+    # `eventorsion sweep 60 60 30` prints these reports, in this order, as
+    # records; its pin lives in test_cli.PINS with every other output pin.
+    digest, summary = PINS["sweep " + " ".join(map(str, SWEEP_BOUNDS))]
+    counts = " ".join(f"{k}={v}" for k, v in sorted(sweep.class_counts.items()))
+    assert sweep.records.hexdigest() == digest
+    assert f"curves={sweep.total} {counts} disagreements={len(sweep.disagreements)}\n" == summary
+    print(f"record stream PASS: {sweep.total} sweep records hash to {digest[:8]}")
 
 
 def test_d_minus_1_oracle_agreement():
@@ -414,15 +430,14 @@ def test_witness_digest():
     # One line per curve: its record (class, witness, generator) and the
     # tokens of all five unfiltered case witnesses, I..V.  The curves are
     # the sweep box, the benchmark's fixed large-height pool, the family
-    # samples up to the benchmark's bounds (IV at 25, its first Z12 curves),
-    # and every 12th sweep curve with n negated.
+    # samples at FAMILY_BOUNDS, and every 12th sweep curve with n negated.
     if str(PERFBENCH) not in sys.path:
         sys.path.insert(0, str(PERFBENCH))
     import workloads
 
     sweep = list(sweep_curves(*SWEEP_BOUNDS))
     curves = sweep + [normalize(*workloads.large_height_input(i)) for i in range(4000)]
-    for tag, bound in (("I", 8), ("II", 10), ("III", 11), ("IV", 25), ("V", 60)):
+    for tag, bound in FAMILY_BOUNDS:
         curves += [s.curve for s in sample_case(tag, bound)]
     curves += [normalize(c.m, -c.n, c.D) for c in sweep[::12][:20000]]
     digest = hashlib.sha256()
@@ -433,3 +448,33 @@ def test_witness_digest():
     assert len(curves) == 266607
     assert digest.hexdigest() == "6fe43d152e294868902d1a2e57edc4c5bb7249b807e3b09b7d6ca40d60c4c349"
     print(f"witness digest PASS on {len(curves)} curves")
+
+
+TWISTS = (-1, 2, -2, 3, -3, 5, -5, 6, -6, 7, -7)
+
+
+def test_quadratic_twists():
+    # The twist of (m, n, D) by a squarefree d is y^2 = x^3 + 2md*x^2 + q*d^2*x,
+    # the curve normalize(m*d, n*d, D), with the same j-invariant.  For an odd
+    # prime l, E(Q(sqrt(d)))[l] = E(Q)[l] + E^d(Q)[l], and the Weil pairing
+    # admits Z/l in both only when Q(sqrt(d)) holds a primitive l-th root of
+    # unity: 5 never divides both classify orders, and 3 only at d = -3.
+    curves = list(sweep_curves(30, 30, 15))
+    for tag, bound in FAMILY_BOUNDS:
+        curves += [s.curve for s in sample_case(tag, bound)]
+    both, j_mismatches = Counter(), []
+    for c in curves:
+        k, j = classify(c).order, j_invariant(2 * c.m, c.q, 0)
+        for d in TWISTS:
+            t = normalize(c.m * d, c.n * d, c.D)
+            kt = classify(t).order
+            both.update((ell, d) for ell in (3, 5) if k % ell == 0 and kt % ell == 0)
+            if j_invariant(2 * t.m, t.q, 0) != j:
+                j_mismatches.append(((c.m, c.n, c.D), d))
+    assert len(curves) * len(TWISTS) == 386925
+    assert not j_mismatches, j_mismatches
+    assert both.keys() == {(3, -3)}, both
+    print(
+        f"twist gate PASS: {len(curves)} curves x {len(TWISTS)} twists, equal j; "
+        f"3 divides both orders in {both[3, -3]} pairs, all at d = -3; 5 in none"
+    )

@@ -172,18 +172,15 @@ class TestSweepCommand:
         assert lines and all(CorpusRecord.from_line(line) for line in lines)
 
     def test_text_format(self, capsys):
-        code, out, err = run(capsys, "sweep", "3", "2", "3", "--format", "text")
+        # The whole output is pinned in PINS; these are its non-Z2 lines.
+        code, out, _ = run(capsys, "sweep", "3", "2", "3", "--format", "text")
         assert code == EXIT_OK
-        assert hashlib.sha256(out.encode()).hexdigest() == (
-            "ffac5262b62512a6872571a0f9b320350556a6ac26b4ea05eb3deaacceed1142"
-        )
         assert [line for line in out.splitlines() if "class=Z2" not in line] == [
             "m=-2 n=2 D=-3 class=Z4 generator=(4,8) oracle=Z4 agree=yes",
             "m=-1 n=2 D=-2 class=Z4 generator=(3,6) oracle=Z4 agree=yes",
             "m=3 n=2 D=2 class=Z4 generator=(-1,2) oracle=Z4 agree=yes",
             "m=3 n=2 D=3 class=Z6 generator=(-3,6) oracle=Z6 agree=yes",
         ]
-        assert err == "curves=56 Z2=52 Z4=3 Z6=1 disagreements=0\n"
 
     def test_closed_pipe_exits_141_silently(self):
         # The reader takes one record and closes the pipe, as `| head -1`
@@ -374,57 +371,117 @@ class TestMismatchExit:
         assert err == "curves=3 Z2=3 disagreements=0 prediction_mismatches=3\n"
 
 
-class TestRecordStream:
-    """The record streams keep the bytes they had when these digests were
-    recorded; a change to the corpus format must update them on purpose."""
+# Every output pin: argv -> (sha256 of stdout, exact stderr).  A change to an
+# output must change its row on purpose.  The "sweep 60 60 30" row is checked
+# by test_acceptance.py's sweep fixture, which builds every report of that box
+# already; the CLI runs every other row.
+PINS = {
+    "sweep 20 20 10": (
+        "4d73384c9483e9db49aaac2575866d0b0ce48b26e6f8e9e518487844ded4611b",
+        "curves=9060 Z2=8979 Z4=67 Z6=13 Z8=1 disagreements=0\n",
+    ),
+    "sweep 30 30 15": (
+        "c8d2dc535b4b2735a53bdb0a7d88c849d781fb159b009c39d32090524eea02c9",
+        "curves=34020 Z2=33849 Z4=146 Z6=23 Z8=2 disagreements=0\n",
+    ),
+    "sweep 60 60 30": (
+        "515a61739dcf9b9a1172ad57138927714eae3b9c9f85ada762a6ff6d27265464",
+        "curves=241452 Z10=1 Z2=240964 Z4=437 Z6=48 Z8=2 disagreements=0\n",
+    ),
+    "sweep 3 2 3 --format text": (
+        "ffac5262b62512a6872571a0f9b320350556a6ac26b4ea05eb3deaacceed1142",
+        "curves=56 Z2=52 Z4=3 Z6=1 disagreements=0\n",
+    ),
+    "sample I 10 --oracle": (
+        "c3905ac4e7b8f6e96c8a5201deebb4966c7647796ff4ddff02c02ad6addde002",
+        "curves=1575 Z12=2 Z4=1563 Z8=10 disagreements=0 prediction_mismatches=0\n",
+    ),
+    # The Z8 family, where the oracle walks doubling and chord slopes.
+    "sample II 10 --oracle": (
+        "02ae1abc94b0f15762251a4ce3782c76c3ca24eb3be16ae1a4ed7092c709837f",
+        "curves=60 Z8=60 disagreements=0 prediction_mismatches=0\n",
+    ),
+    "sample III 10 --oracle": (
+        "261433f85cf9d62fc039c5c96c041fecfd20ecb0b0ee69274e66d0cb1440bfc5",
+        "curves=134 Z12=1 Z6=133 disagreements=0 prediction_mismatches=0\n",
+    ),
+    # Genuine Z6 curves, whose case-III check factors n/2.
+    "sample III 11 --oracle": (
+        "91c394984023d1060fb0cba1d37a4af2391078df6624fbd596e3529503ac69c2",
+        "curves=182 Z12=2 Z6=180 disagreements=0 prediction_mismatches=0\n",
+    ),
+    # Case IV emits no curve at bound 10; at 25 it emits the two Z12 curves,
+    # where 12 divides the reduction bound.
+    "sample IV 25 --oracle": (
+        "fbd5ac5bf62555576851314540e64d3cb4032d67ac10c38b65e3e5527bca990b",
+        "curves=2 Z12=2 disagreements=0 prediction_mismatches=0\n",
+    ),
+    "sample V 10 --oracle": (
+        "e5907e9e2ae962265d9f5c864875290b9f64eecdbdda4a0a7c5a211fdec98ec8",
+        "curves=2 Z10=2 disagreements=0 prediction_mismatches=0\n",
+    ),
+    "sample V 60 --oracle": (
+        "b0fa53076f1ccdf1a7bd2d2f484a01da08e83be7566c4c66d73c7dc74339fd34",
+        "curves=8 Z10=8 disagreements=0 prediction_mismatches=0\n",
+    ),
+    # Z2 by even n with reduction bound 2, and by odd n: "witness: none".
+    "classify 5 2 3 --oracle": (
+        "9ecedd3adfd086c44455209339e0994a2af518a39dc6eb24ba810a1d4306481d",
+        "",
+    ),
+    "classify 5 3 2 --oracle": (
+        "272f675c4087fd9050013cf4820eeaec952f6b600147b72dab2dc065d3e6b7ec",
+        "",
+    ),
+    # The first Z12 curve, through case IV.
+    "classify -366 30 -15 --oracle": (
+        "f2e8e8de407809549a25e988ecef46e6fe50859c4564cc2f3563fe6e80a9338f",
+        "",
+    ),
+    # Z6 through case III's one witness with a = 0, III(0, 1, 1), at D = -1.
+    "classify -1 2 -1 --oracle": (
+        "42485662e33ab1055a7e260b1c48aab75088f5604ed2b2d9383260a05697e89d",
+        "",
+    ),
+    # D = 2^41*3^7*5*1000003^2: 2 climbs 41 rungs of the gcd ladder and 3
+    # seven, the cofactor 1000003^2 is factored, and normalize leaves D = 30,
+    # n = 84934910803968, class Z2.
+    "classify 7 3 24046463577593333640415150080 --oracle": (
+        "7450933c01af3cdca6c142f5c15c1d6dd45d97b1e7dfc3277c77d15333ce533a",
+        "",
+    ),
+    # A curve whose reduction bound is 2.
+    "oracle 5 2 3": (
+        "9a1154032549573667f781ce93bb960bf534ee0255bf1c033fe286061a246622",
+        "",
+    ),
+    # n/2 = 3*5*...*47: every tabulated prime is bad, and g = 2 comes from
+    # the walk past 47.
+    "oracle 5 614889782588491410 3": (
+        "1869d38778e0f76eb75c0fa2855c7df077bacd58e5c665ba3fca1e998820c945",
+        "",
+    ),
+}
+CLI_PINS = [argv for argv in PINS if argv != "sweep 60 60 30"]
 
-    DIGESTS = {
-        "sweep 20 20 10 --format records": "4d73384c9483e9db49aaac2575866d0b0ce48b26e6f8e9e518487844ded4611b",
-        "sample I 10 --oracle": "c3905ac4e7b8f6e96c8a5201deebb4966c7647796ff4ddff02c02ad6addde002",
-        "sample II 10 --oracle": "02ae1abc94b0f15762251a4ce3782c76c3ca24eb3be16ae1a4ed7092c709837f",
-        "sample III 10 --oracle": "261433f85cf9d62fc039c5c96c041fecfd20ecb0b0ee69274e66d0cb1440bfc5",
-        "sample V 10 --oracle": "e5907e9e2ae962265d9f5c864875290b9f64eecdbdda4a0a7c5a211fdec98ec8",
-        # Case IV emits no curve at bound 10.
-        "sample IV 25 --oracle": "fbd5ac5bf62555576851314540e64d3cb4032d67ac10c38b65e3e5527bca990b",
-    }
 
-    @pytest.mark.parametrize("argv", DIGESTS)
-    def test_stream_digest(self, capsys, argv):
+class TestOutputPins:
+    @pytest.mark.parametrize("argv", CLI_PINS)
+    def test_output(self, capsys, argv):
         code, out, err = run(capsys, *argv.split())
-        assert code == EXIT_OK
-        assert hashlib.sha256(out.encode()).hexdigest() == self.DIGESTS[argv]
-        if argv.startswith("sweep"):
-            assert err == "curves=9060 Z2=8979 Z4=67 Z6=13 Z8=1 disagreements=0\n"
-        else:
-            assert err.endswith(" disagreements=0 prediction_mismatches=0\n")
+        assert (code, hashlib.sha256(out.encode()).hexdigest(), err) == (EXIT_OK, *PINS[argv])
 
-
-class TestWorkflowPins:
-    """The console-script outputs that .github/workflows/tests.yml pins by
-    sha256 and no other test here checks byte for byte.  The digests are
-    the workflow's; a change to either side must change both."""
-
-    DIGESTS = {
-        # Z2 by even n with reduction bound 2, and by odd n: "witness: none".
-        "classify 5 2 3 --oracle": "9ecedd3adfd086c44455209339e0994a2af518a39dc6eb24ba810a1d4306481d",
-        "classify 5 3 2 --oracle": "272f675c4087fd9050013cf4820eeaec952f6b600147b72dab2dc065d3e6b7ec",
-        "classify -366 30 -15 --oracle": "f2e8e8de407809549a25e988ecef46e6fe50859c4564cc2f3563fe6e80a9338f",
-        # Z6 through case III's one witness with a = 0, III(0, 1, 1), at D = -1.
-        "classify -1 2 -1 --oracle": "42485662e33ab1055a7e260b1c48aab75088f5604ed2b2d9383260a05697e89d",
-        # D = 2^41*3^7*5*1000003^2 normalizes to D = 30, n = 84934910803968: Z2.
-        "classify 7 3 24046463577593333640415150080 --oracle": "7450933c01af3cdca6c142f5c15c1d6dd45d97b1e7dfc3277c77d15333ce533a",
-        "oracle 5 2 3": "9a1154032549573667f781ce93bb960bf534ee0255bf1c033fe286061a246622",
-        "oracle 5 614889782588491410 3": "1869d38778e0f76eb75c0fa2855c7df077bacd58e5c665ba3fca1e998820c945",
-        "sample V 60 --oracle": "b0fa53076f1ccdf1a7bd2d2f484a01da08e83be7566c4c66d73c7dc74339fd34",
-        # Genuine Z6 curves, whose case-III check factors n/2.
-        "sample III 11 --oracle": "91c394984023d1060fb0cba1d37a4af2391078df6624fbd596e3529503ac69c2",
-    }
-
-    @pytest.mark.parametrize("argv", DIGESTS)
-    def test_output_digest(self, capsys, argv):
-        code, out, _ = run(capsys, *argv.split())
-        assert code == EXIT_OK
-        assert hashlib.sha256(out.encode()).hexdigest() == self.DIGESTS[argv]
+    @pytest.mark.parametrize("argv", CLI_PINS)
+    def test_out_file(self, tmp_path, capsys, argv):
+        # --out writes the bytes of stdout, and verify accepts every record
+        # stream.
+        digest, err = PINS[argv]
+        path = tmp_path / "out"
+        assert run(capsys, *argv.split(), "--out", str(path)) == (EXIT_OK, "", err)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+        if argv.startswith(("sweep", "sample")) and "--format text" not in argv:
+            curves = err.split()[0].removeprefix("curves=")
+            assert run(capsys, "verify", str(path)) == (EXIT_OK, "", f"verified={curves} mismatches=0\n")
 
 
 class TestLargeInputs:
