@@ -9,14 +9,18 @@ is used anywhere in the package.
 nothing, and raises ValueError on a non-squarefree one after a number of
 bad primes bounded by the bit lengths of its coefficients.
 
-`squarefree_split` reads a number's square part off a gcd ladder on the
-product P of the primes below 1000: g_1 = gcd(|x|, P), and with each g_k
-divided out, g_(k+1) = gcd(what is left, g_k) is the product of the small
-primes whose exponent is at least k + 1.  The square part is
-g_2*g_4*..., the squarefree part (g_1/g_2)*(g_3/g_4)*..., and no prime
-below 1000 is divided out on its own.  What the ladder leaves has no prime
-factor below 1000, so below 1009^3 it is 1, p, p^2 or pq, and its square
-part is read off `int_sqrt`; only from 1009^3 up is it factored.
+`squarefree_split` reads a number's square part off a gcd ladder on a
+product P of primes: g_1 = gcd(|x|, P), and with each g_k divided out,
+g_(k+1) = gcd(what is left, g_k) is the product of the primes of P whose
+exponent is at least k + 1.  The square part is g_2*g_4*..., the
+squarefree part (g_1/g_2)*(g_3/g_4)*..., and no prime of P is divided out
+on its own.  There are two screens, each a ladder: first on the product
+of the primes below 1000, which leaves a cofactor with no prime factor
+below 1009, so that below 1009^3 it is 1, p, p^2 or pq and its square part
+is read off `int_sqrt`; then, for a larger cofactor, on the product of the
+primes in (1000, 2^14), which leaves no prime factor below 16411, the
+least prime above 2^14, so that the same holds below 16411^3.  Only from
+16411^3 up is the cofactor factored.
 
 Factoring takes the same first rung g_1, the product of the primes below
 1000 that divide the number, and divides out only those.  It proves larger
@@ -35,6 +39,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from functools import lru_cache
+from itertools import compress
 from typing import Iterator, NamedTuple, Sequence
 
 
@@ -53,19 +58,28 @@ def _sieve(limit: int) -> tuple[int, ...]:
     for p in range(2, math.isqrt(limit) + 1):
         if flags[p]:
             flags[p * p :: p] = bytearray(len(range(p * p, limit + 1, p)))
-    return tuple(i for i, f in enumerate(flags) if f)
+    return tuple(compress(range(limit + 1), flags))
 
 
-_SMALL_PRIMES = _sieve(1000)
+# The primes below 2^14, the first 168 of them below 1000.
+_PRIMES = _sieve(1 << 14)
+_SMALL_PRIMES = _PRIMES[: bisect_right(_PRIMES, 1000)]
 # The 1,380-bit product of the primes below 1000: its gcd with a number is
-# the product of the small primes dividing it, the first rung of the ladder
-# in squarefree_split and the screen in factorization.
+# the product of the small primes dividing it, the screen in factorization
+# and the first of squarefree_split's two screens.  Each screen is a gcd
+# ladder on a product of primes and a bound below which the cofactor the
+# ladder leaves has at most two prime factors: 1009^3 once the primes below
+# 1000 are cleared, and 16411^3 once the second ladder, on the 22,072-bit
+# product of the 1,732 primes in (1000, 2^14), has cleared every prime
+# below 16411, the least prime above 2^14.
 _SMALL_PRODUCT = math.prod(_SMALL_PRIMES)
+_SCREENS = (
+    (_SMALL_PRODUCT, 1009**3),
+    (math.prod(_PRIMES[len(_SMALL_PRIMES) :]), 16411**3),
+)
 # With every prime below 1000 divided out, a composite cofactor is at least
-# 1009**2, so a cofactor below this bound is prime, and one below
-# _TWO_PRIMES_BELOW has at most two prime factors.
+# 1009**2, so a cofactor below this bound is prime.
 _PRIME_BELOW = 10**6
-_TWO_PRIMES_BELOW = 1009**3
 # Miller-Rabin with the first k primes as bases is correct for every n below
 # _MR_BOUNDS[k - 1], the least strong pseudoprime to all of them (OEIS
 # A014233: Jaeschke 1993, Jiang and Deng 2014, Sorenson and Webster 2015).
@@ -108,8 +122,8 @@ def int_sqrt(x: int) -> int | None:
 
 def _primes() -> Iterator[int]:
     """Every prime in ascending order, from a sieve doubled on demand."""
-    yield from _SMALL_PRIMES
-    limit = _SMALL_PRIMES[-1]
+    yield from _PRIMES
+    limit = _PRIMES[-1]
     while True:
         primes = _sieve(2 * limit)
         yield from primes[bisect_right(primes, limit) :]
@@ -319,33 +333,37 @@ def factorization(x: int) -> tuple[tuple[int, int], ...]:
 def squarefree_split(x: int) -> SquarefreeSplit:
     """Split x != 0 as d*d * s with s squarefree, returning (d, s).
 
-    Each pass of the gcd ladder (see the module docstring) takes g = g_k for
+    Each pass of a gcd ladder (see the module docstring) takes g = g_k for
     an odd k: g/g_(k+1) goes into s and g_(k+1) into d, and the ladder stops
-    at the first rung that is 1.  The cofactor left
-    has no prime factor below 1000; below 1009^3 it is 1, p, p^2 or pq, so
-    its square part is its integer square root or 1 and it is never
-    factored; a larger cofactor goes to `factorization`.
+    at the first rung that is 1.  The screens of `_SCREENS` run in turn:
+    the ladder on the primes below 1000, and for a cofactor left at or above
+    1009^3 the ladder on the primes in (1000, 2^14).  A cofactor below the
+    screen's bound (1009^3, then 16411^3) is 1, p, p^2 or pq, so its square
+    part is its integer square root or 1 and it is never factored; one at or
+    above 16411^3 goes to `factorization`.
     """
     if x == 0:
         raise ValueError("cannot factor 0")
     a = abs(x)
     d = s = 1
-    g = math.gcd(a, _SMALL_PRODUCT)
-    while g > 1:
-        a //= g
-        h = math.gcd(a, g)
-        s *= g // h
-        if h == 1:
+    for product, bound in _SCREENS:
+        g = math.gcd(a, product)
+        while g > 1:
+            a //= g
+            h = math.gcd(a, g)
+            s *= g // h
+            if h == 1:
+                break
+            a //= h
+            d *= h
+            g = math.gcd(a, h)
+        if a < bound:
+            r = int_sqrt(a)
+            if r is None:
+                s *= a
+            else:
+                d *= r
             break
-        a //= h
-        d *= h
-        g = math.gcd(a, h)
-    if a < _TWO_PRIMES_BELOW:
-        r = int_sqrt(a)
-        if r is None:
-            s *= a
-        else:
-            d *= r
     else:
         for p, e in factorization(a):
             d *= p ** (e // 2)

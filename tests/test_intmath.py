@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from reference import rat_sqrt
 
 from eventorsion import intmath
-from eventorsion.curve import CurveMND
+from eventorsion.curve import CurveMND, normalize
 from eventorsion.intmath import (
     FactoringLimitError,
     divisors,
@@ -43,9 +43,22 @@ def next_prime(x: int) -> int:
 # the planted-input strategy below draws more often.
 PRIMES_BELOW_1000 = [p for p in range(2, 1000) if all(p % r for r in range(2, math.isqrt(p) + 1))]
 EDGE_PRIMES = [2, 3, 991, 997]
+# The primes in (1000, 2^14), by trial division: squarefree_split's second
+# ladder clears them, leaving no prime factor below 16411 = next_prime(2^14).
+PRIMES_1000_TO_2_14 = [p for p in range(1001, 1 << 14) if all(p % r for r in range(2, math.isqrt(p) + 1))]
 # Cofactors with no prime factor below 1000, beside a drawn prime >= 1009:
-# int_sqrt splits those below 1009^3, factorization the rest.
-COFACTORS = [1, 1009**2, 1009 * 1013, 1009**3, next_prime(1009**3 + 1)]
+# int_sqrt splits those below 1009^3 after the first ladder and those below
+# 16411^3 after the second, factorization the rest.
+COFACTORS = [
+    1,
+    1009**2,
+    1009 * 1013,
+    1009**3,
+    next_prime(1009**3 + 1),
+    16381**2,
+    16411**3,
+    next_prime(16411**3 + 1),
+]
 # Planted inputs +-prod p_i^e_i * cofactor: each gcd-ladder rung k holds the
 # primes with e_i >= k, up to 40 rungs.
 PLANTED_EXPONENTS = st.dictionaries(
@@ -157,7 +170,7 @@ class TestSquarefreeSplit:
             (-1, (1, -1)),
             (360, (6, 10)),
             # Cofactors past the primes below 1000: below 1009^3 they are
-            # split by int_sqrt alone, from 1009^3 on by factorization.
+            # split by int_sqrt alone, from 1009^3 on by the second ladder.
             (1009 * 1013, (1, 1009 * 1013)),
             (-(1009**2), (1009, -1)),
             (2 * 1013**2, (1013, 2)),
@@ -171,6 +184,17 @@ class TestSquarefreeSplit:
             # int_sqrt as the cofactor and stay in the squarefree part.
             (991**3, (991, 991)),
             (-(997**3), (997, -997)),
+            # From 1009^3 on, the second ladder clears the primes below 2^14.
+            (1009 * 1013 * 1019, (1, 1009 * 1013 * 1019)),
+            (1009**2 * 16411, (1009, 16411)),
+            # Below 16411^3, settled by the second ladder and int_sqrt: a
+            # prime below 2^14 missing from its product would stay in the
+            # squarefree part.
+            (16381**3, (16381, 16381)),
+            (16381**2 * 16411, (16381, 16411)),
+            # From 16411^3 on, by factorization.
+            (16411**3, (16411, 16411)),
+            (16411**2 * 16417, (16411, 16417)),
         ],
     )
     def test_examples(self, x, expected):
@@ -180,6 +204,37 @@ class TestSquarefreeSplit:
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
             squarefree_split(0)
+
+    def test_screens(self):
+        assert len(PRIMES_1000_TO_2_14) == 1732
+        assert intmath._SCREENS == (
+            (math.prod(PRIMES_BELOW_1000), 1009**3),
+            (math.prod(PRIMES_1000_TO_2_14), next_prime(1 << 14) ** 3),
+        )
+
+    def test_below_16411_cubed_factors_nothing(self, monkeypatch):
+        # Every cofactor in [1009^3, 16411^3) is split by the two ladders and
+        # int_sqrt, and so is a large-height case-III D = a^2 - c^2 =
+        # -1291^2 * 263183 in normalize and in the curve's re-test.
+        rng = random.Random(14)
+        cofactors = [1009**3, 1009 * 1013 * 1019, 16381**3, 16381**2 * 16411, 16411**3 - 1]
+        cofactors += [rng.randrange(1009**3, 16411**3) for _ in range(200)]
+        cofactors += [rng.choice(PRIMES_1000_TO_2_14) ** 2 * rng.randrange(1009, 16411) for _ in range(100)]
+        xs = [k * c for c in cofactors for k in (1, -12)]
+        want = [split_from_factorization(x) for x in xs]
+        a, c, d = 701749, 964932, -438642105623
+        assert d == a * a - c * c
+        m, n = a * a + 2 * a * c + d, 2 * (a + c)
+        curve = normalize(m, n, d)
+        assert curve.D == -263183 and curve.n % 1291 == 0
+
+        def refuse(x):
+            raise AssertionError(f"factorization({x}) called")
+
+        monkeypatch.setattr(intmath, "factorization", refuse)
+        intmath.is_squarefree.cache_clear()
+        assert [squarefree_split(x) for x in xs] == want
+        assert normalize(m, n, d) == curve
 
     @given(st.integers(min_value=-10**6, max_value=10**6).filter(lambda x: x != 0))
     def test_reconstruction(self, x):
@@ -346,8 +401,8 @@ class TestIntegerRoots:
         assert integer_roots(f) == [1, 1 + big]
 
     def test_primes_extend_past_the_sieve(self):
-        primes = list(islice(intmath._primes(), 2000))
-        assert primes[-1] > 4 * intmath._SMALL_PRIMES[-1]
+        primes = list(islice(intmath._primes(), 4000))
+        assert primes[-1] > 2 * intmath._PRIMES[-1]
         brute = [n for n in range(2, primes[-1] + 1) if all(n % p for p in range(2, math.isqrt(n) + 1))]
         assert primes == brute
 
