@@ -5,32 +5,30 @@ bound, with a squarefree D != 1 enumerated or derived from them; each
 case's D derivation is in its `lattice` docstring) and keeps the tuples
 whose witness satisfies the class's side conditions (`holds`, which also
 keep n nonzero: case III's a + c = 0 would need b^2*D = 0); the witness
-is the predicted class and gives (m, n) and the generator x-coordinate.
-Tuples normalizing to a previously emitted curve are deduplicated; output is
-sorted by (m, n, D) so the order is canonical.  `sweep_curves` enumerates
-every normalized curve of a box instead.
+is the predicted class and gives (m, n).  A sample is that witness and its
+normalized curve; `classifier.full_report` builds the curve's generator
+and checks its order.  Tuples normalizing to a previously emitted curve are
+deduplicated; output is sorted by (m, n, D) so the order is canonical.
+`sweep_curves` enumerates every normalized curve of a box instead.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from . import curve as _curve
 from . import intmath
-from .classifier import CASES, InconsistencyError, Witness
+from .classifier import CASES, Witness
 from .curve import CurveMND
 
 
-@dataclass(frozen=True)
-class FamilySample:
-    """A case witness, its normalized curve and the predicted generator's x
-    on that curve; the witness is the predicted class and carries its tag."""
+class FamilySample(NamedTuple):
+    """A case witness and its normalized curve; the witness is the predicted
+    class and carries its tag."""
 
     predicted: Witness
     curve: CurveMND
-    predicted_generator_x: int
 
     @property
     def case_tag(self) -> str:
@@ -38,8 +36,8 @@ class FamilySample:
 
 
 def sample_case(case_tag: str, bound: int) -> list[FamilySample]:
-    """Deterministically enumerate case samples with |params| <= bound;
-    cases I, III and IV also enumerate |D| <= 2*bound."""
+    """Deterministically enumerate (witness, normalized curve) samples with
+    |params| <= bound; cases I, III and IV also enumerate |D| <= 2*bound."""
     case = CASES.get(case_tag)
     if case is None:
         raise ValueError(f"unknown case tag {case_tag!r}")
@@ -52,19 +50,8 @@ def sample_case(case_tag: str, bound: int) -> list[FamilySample]:
         m, n = witness.curve_mn(d)
         cur = _curve.normalize(m, n, d)
         key = (cur.m, cur.n, cur.D)
-        if key in out:
-            continue
-        gen_x = witness.generator_x(d)
-        # Normalization divides (m, n) by e^2; points rescale by the same
-        # square, and the image of an integral torsion point stays integral.
-        e2 = abs(n) // cur.n
-        gx, rem = divmod(gen_x, e2)
-        if rem:
-            raise InconsistencyError(
-                f"case {case_tag} sample {witness}: generator x {gen_x} "
-                f"does not rescale by {e2}"
-            )
-        out[key] = FamilySample(witness, cur, gx)
+        if key not in out:
+            out[key] = FamilySample(witness, cur)
     return sorted(out.values(), key=lambda s: (s.curve.m, s.curve.n, s.curve.D))
 
 

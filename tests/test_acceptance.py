@@ -11,10 +11,20 @@ import math
 import sys
 from collections import Counter
 from dataclasses import dataclass, field
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from reference import add, case_witnesses, double_x, evaluate, is_halvable, j_invariant
+from reference import (
+    add,
+    case_witnesses,
+    discriminant,
+    double_x,
+    evaluate,
+    is_halvable,
+    j_invariant,
+    weierstrass_order,
+)
 from test_cli import PINS
 
 from eventorsion.classifier import (
@@ -27,7 +37,15 @@ from eventorsion.classifier import (
     generator,
 )
 from eventorsion.corpus import CorpusRecord
-from eventorsion.curve import CurveMND, InvalidCurveError, Point, normalize, order
+from eventorsion.curve import (
+    CurveMND,
+    InvalidCurveError,
+    Point,
+    SingularCurveError,
+    from_general,
+    normalize,
+    order,
+)
 from eventorsion.family import sample_case, sweep_curves
 from eventorsion.intmath import int_sqrt, is_squarefree
 from eventorsion.oracle import (
@@ -372,6 +390,83 @@ def test_criterion_6_family_round_trip():
                 assert report.cls.order == s.predicted.order, s
         summary.append(f"{tag}:{len(samples)}")
     print(f"criterion 6 PASS: family round trip 100% ({', '.join(summary)})")
+
+
+# Kubert's Tate normal forms (Kubert, "Universal bounds on the torsion of
+# elliptic curves", Proc. LMS 1976, Table 3): t -> (b, c) for the curve
+# E(b, c): y^2 + (1 - c)xy - by = x^3 - bx^2, on which P = (0, 0) has order N.
+def _kubert_10(t):
+    d = t * t / (t - (t - 1) ** 2)
+    c = t * (d - 1)
+    return c * d, c
+
+
+def _kubert_12(t):
+    m = (3 * t - 3 * t * t - 1) / (t - 1)
+    f = m / (1 - t)
+    d = m + t
+    c = f * (d - 1)
+    return c * d, c
+
+
+KUBERT = {
+    4: lambda t: (t, Fraction(0)),
+    6: lambda t: (t + t * t, t),
+    8: lambda t: ((2 * t - 1) * (t - 1), (2 * t - 1) * (t - 1) / t),
+    10: _kubert_10,
+    12: _kubert_12,
+}
+# What `from_general` makes of each t = num/den, |num| <= 40, 1 <= den <= 40.  Full
+# 2-torsion needs an even N below 10 (Mazur).
+KUBERT_OUTCOMES = {
+    4: {"mapped": 1932, "FullTwoTorsionError": 25, "SingularCurveError": 2},
+    6: {"mapped": 1925, "FullTwoTorsionError": 31, "SingularCurveError": 3},
+    8: {"mapped": 1928, "FullTwoTorsionError": 28, "SingularCurveError": 2, "pole": 1},
+    10: {"mapped": 1956, "SingularCurveError": 3},
+    12: {"mapped": 1956, "SingularCurveError": 2, "pole": 1},
+}
+
+
+def test_kubert_tate_normal_forms():
+    # Curves with a point of order N from outside the paper's
+    # parametrizations.  Completing the square gives y^2 = x^3 + a2*x^2 +
+    # a4*x + a6 with P = (0, -b/2); an exact walk checks P's order on that
+    # model, and the class of each curve in the family must be a multiple
+    # of N on which the oracle agrees.
+    params = sorted({Fraction(num, den) for num in range(-40, 41) for den in range(1, 41)})
+    assert len(params) == 1959
+    walked, failures = 0, []
+    for big_n, form in KUBERT.items():
+        outcomes = Counter()
+        for t in params:
+            try:
+                b, c = form(t)
+            except ZeroDivisionError:
+                outcomes["pole"] += 1
+                continue
+            a2, a4, a6 = -b + (1 - c) ** 2 / 4, -b * (1 - c) / 2, b * b / 4
+            singular = discriminant(a2, a4, a6) == 0
+            if not singular:
+                walked += 1
+                if weierstrass_order(a2, a4, a6, 0, -b / 2) != big_n:
+                    failures.append((big_n, t, "walk"))
+            try:
+                cur = from_general(a2, a4, a6)
+            except InvalidCurveError as e:
+                assert isinstance(e, SingularCurveError) == singular, (big_n, t)
+                outcomes[type(e).__name__] += 1
+                continue
+            outcomes["mapped"] += 1
+            report = full_report(cur, with_oracle=True)
+            if report.cls.order % big_n or not report.agree:
+                failures.append((big_n, t, report.cls.label))
+        assert dict(outcomes) == KUBERT_OUTCOMES[big_n], (big_n, outcomes)
+    assert walked == 9781
+    assert not failures, failures
+    print(
+        f"Kubert gate PASS: N in {sorted(KUBERT)}, {len(params)} t each; order N on "
+        f"{walked} nonsingular models, class order a multiple of N on all mapped"
+    )
 
 
 def test_criterion_7_halving_test_matches_z4_containment(sweep):

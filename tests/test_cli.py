@@ -329,9 +329,10 @@ class TestInconsistencyExit:
         assert err.startswith("inconsistency:")
         assert "impossible torsion structure Z4" in err
 
-    def test_sample_generator_that_does_not_rescale_exits_3(self, capsys, monkeypatch):
-        # The one tuple offered parametrizes (95, 32, 10) scaled by e^2 = 4,
-        # and a generator x of -61 does not divide by 4.
+    def test_sample_wrong_generator_formula_exits_3(self, capsys, monkeypatch):
+        # The one tuple offered parametrizes (95, 32, 10) scaled by e^2 = 4.
+        # `full_report` builds every sampled curve's generator from the
+        # formula, so a wrong one (x = -61) stops `sample` there.
         lattice = classmethod(lambda cls, bound: iter([(classifier.WitnessV(8, 8, 18, 6), 10)]))
         monkeypatch.setattr(classifier.WitnessV, "lattice", lattice)
         monkeypatch.setattr(classifier.WitnessV, "generator_x", lambda self, d: -61)
@@ -339,7 +340,7 @@ class TestInconsistencyExit:
         assert code == EXIT_INCONSISTENT
         assert out == ""
         assert err.startswith("inconsistency:")
-        assert "does not rescale by 4" in err
+        assert "non-square y^2" in err
 
 
 class TestMismatchExit:

@@ -1,8 +1,8 @@
 import pytest
 
-from eventorsion.classifier import CASES, InconsistencyError, WitnessV, classify, full_report
+from eventorsion.classifier import CASES, WitnessV, classify, full_report
 from eventorsion.curve import Point, normalize, order
-from eventorsion.family import sample_case
+from eventorsion.family import FamilySample, sample_case
 from eventorsion.intmath import int_sqrt
 
 # Small bounds that still give samples for every case.
@@ -59,12 +59,25 @@ class TestSampleCase:
             else:
                 assert cls.order == CASES[tag].order, s
 
+    @staticmethod
+    def rescaled_generator_x(w, c):
+        """The witness's generator x on the normalized curve c.  Normalization
+        divides (m, n) by e^2; points rescale by the same square, and the
+        image of an integral torsion point stays integral."""
+        _, n = w.curve_mn(c.D)
+        assert n % c.n == 0, (w, c)
+        e2 = abs(n) // c.n
+        gx, rem = divmod(w.generator_x(c.D), e2)
+        assert rem == 0, (w, c, e2)
+        return gx
+
     @pytest.mark.parametrize("tag,bound", SAMPLE_BOUNDS)
     def test_predicted_generators_lie_on_curve_with_predicted_order(self, tag, bound):
         for s in sample_case(tag, bound):
-            y = int_sqrt(s.curve.rhs(s.predicted_generator_x))
+            gx = self.rescaled_generator_x(s.predicted, s.curve)
+            y = int_sqrt(s.curve.rhs(gx))
             assert y is not None, s
-            assert order(s.curve, Point(s.predicted_generator_x, y)) == s.predicted.order
+            assert order(s.curve, Point(gx, y)) == s.predicted.order
 
     @pytest.mark.parametrize("tag,bound", SAMPLE_BOUNDS)
     def test_witnesses_satisfy_side_conditions(self, tag, bound):
@@ -74,6 +87,12 @@ class TestSampleCase:
     @pytest.mark.parametrize("tag,bound", SAMPLE_BOUNDS)
     def test_case_tag(self, tag, bound):
         assert {s.case_tag for s in sample_case(tag, bound)} == {tag}
+
+    def test_sample_is_its_witness_and_curve(self):
+        assert FamilySample._fields == ("predicted", "curve")
+        s = sample_case("II", 2)[0]
+        assert s == (s.predicted, s.curve)
+        assert s.case_tag == s.predicted.tag == "II"
 
     @staticmethod
     def only_scaled_953210(monkeypatch):
@@ -88,14 +107,9 @@ class TestSampleCase:
         [sample] = sample_case("V", 18)
         assert sample.predicted == WitnessV(8, 8, 18, 6)
         assert (sample.curve.m, sample.curve.n, sample.curve.D) == (95, 32, 10)
-        assert sample.predicted_generator_x == -15
-        assert int_sqrt(sample.curve.rhs(-15)) == 240
-
-    def test_generator_x_that_does_not_rescale_raises(self, monkeypatch):
-        self.only_scaled_953210(monkeypatch)
-        monkeypatch.setattr(WitnessV, "generator_x", lambda self, d: -61)
-        with pytest.raises(InconsistencyError, match="does not rescale by 4"):
-            sample_case("V", 18)
+        gx = self.rescaled_generator_x(sample.predicted, sample.curve)
+        assert (sample.predicted.generator_x(10), gx) == (-60, -15)
+        assert int_sqrt(sample.curve.rhs(gx)) == 240
 
 
 class TestLargeHeight:

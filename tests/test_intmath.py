@@ -5,7 +5,7 @@ from itertools import islice
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference import rat_sqrt
+from reference import evaluate, rat_sqrt
 
 from eventorsion import intmath
 from eventorsion.curve import CurveMND, normalize
@@ -304,13 +304,6 @@ def poly_from_roots(lead: int, roots, cofactor=(1,)) -> list[int]:
     return f
 
 
-def poly_value(f, x: int) -> int:
-    v = 0
-    for a in f:
-        v = v * x + a
-    return v
-
-
 def has_repeated_factor(f) -> bool:
     """gcd(f, f') over Q has positive degree, by Euclid on Fractions."""
     from fractions import Fraction
@@ -358,7 +351,7 @@ class TestIntegerRoots:
     def test_random_monic_against_brute_force(self, tail):
         # Every integer root lies inside the Cauchy bound 1 + max|a_i| <= 21.
         f = [1, *tail]
-        brute = [x for x in range(-21, 22) if poly_value(f, x) == 0]
+        brute = [x for x in range(-21, 22) if evaluate(f, x) == 0]
         try:
             got = integer_roots(f)
         except ValueError:
