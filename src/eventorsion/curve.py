@@ -19,6 +19,7 @@ one rational root onto the family; zero or three rational roots raise.
 from __future__ import annotations
 
 import math
+import numbers
 from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
@@ -60,7 +61,14 @@ class PointNotOnCurveError(ValueError):
 @dataclass(frozen=True)
 class CurveMND:
     """Normalized curve datum (m, n, D).  n != 0 and a squarefree D not in
-    {0, 1} make n^2*D a nonsquare, so m^2 != n^2*D: the curve is nonsingular."""
+    {0, 1} make n^2*D a nonsquare, so m^2 != n^2*D: the curve is nonsingular.
+
+    CurveMND(m, n, D) validates: n != 0, D squarefree and not 0 or 1, and
+    gcd(m, n) squarefree, raising InvalidCurveError otherwise.  The package's
+    own normalized constructions (`normalize`, `family.sweep_curves`) have
+    just established all three and build through `_normalized`, which skips
+    the re-test.
+    """
 
     m: int
     n: int
@@ -75,6 +83,17 @@ class CurveMND:
             raise InvalidCurveError(
                 f"gcd(m, n) = gcd({self.m}, {self.n}) must be squarefree"
             )
+
+    @classmethod
+    def _normalized(cls, m: int, n: int, D: int) -> CurveMND:
+        """(m, n, D) without `__post_init__`'s tests.  The caller guarantees
+        what they check: n != 0, D squarefree and not 0 or 1, and
+        gcd(m, n) squarefree."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "D", D)
+        return self
 
     @property
     def q(self) -> int:
@@ -148,7 +167,9 @@ def normalize(m: int, n: int, d_raw: int) -> CurveMND:
     if e > 1:
         m //= e * e
         n //= e * e
-    return CurveMND(m, n, d0)
+    # d0 is the squarefree part of a nonzero nonsquare, so not 0 or 1; n is
+    # |n*d| / e^2 != 0; gcd(m, n) = g / e^2 is the squarefree part of g.
+    return CurveMND._normalized(m, n, d0)
 
 
 def from_general(
@@ -157,14 +178,22 @@ def from_general(
     """Recognize y^2 = x^3 + a2*x^2 + a4*x + a6 as a member of the family.
 
     Each coefficient is read by Fraction(), so ints, Fractions and strings
-    such as "3/2" all work.  Scales to an integer monic model, whose rational
-    roots are its integer roots, found by intmath.integer_roots without
-    factoring anything (the model is squarefree: a zero discriminant is
-    rejected first); translates the single rational root to 0, rescales once
-    more by 2 if needed so the middle coefficient is even, and normalizes.
+    such as "3/2" or "0.1" all work.  Floats are refused with TypeError:
+    Fraction(0.1) is the float's binary expansion, not one tenth.  Scales to
+    an integer monic model, whose rational roots are its integer roots, found
+    by intmath.integer_roots without factoring anything (the model is
+    squarefree: a zero discriminant is rejected first); translates the single
+    rational root to 0, rescales once more by 2 if needed so the middle
+    coefficient is even, and normalizes.
     Zero rational roots raise NoRationalTwoTorsionError and three raise
     FullTwoTorsionError.
     """
+    for name, value in (("a2", a2), ("a4", a4), ("a6", a6)):
+        # A Real that is not Rational: a float, or a type that acts as one.
+        if isinstance(value, numbers.Real) and not isinstance(value, numbers.Rational):
+            raise TypeError(
+                f"{name}={value!r} is a float; pass an int, Fraction or string"
+            )
     a2, a4, a6 = Fraction(a2), Fraction(a4), Fraction(a6)
     scale = math.lcm(a2.denominator, a4.denominator, a6.denominator)
     b = int(a2 * scale**2)

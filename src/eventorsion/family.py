@@ -63,5 +63,7 @@ def sweep_curves(m_max: int, n_max: int, d_max: int) -> Iterator[CurveMND]:
         for n in range(1, n_max + 1):
             if not intmath.is_squarefree(math.gcd(m, n)):
                 continue
+            # n >= 1, each d is squarefree with |d| >= 2, and gcd(m, n)
+            # passed the test above.
             for d in ds:
-                yield CurveMND(m, n, d)
+                yield CurveMND._normalized(m, n, d)

@@ -451,6 +451,13 @@ PINS = {
         "7450933c01af3cdca6c142f5c15c1d6dd45d97b1e7dfc3277c77d15333ce533a",
         "",
     ),
+    # Z6 through case III, witness III(701749, 1291, 964932): D =
+    # -1291^2*263183 has its square part on the second gcd-ladder rung, and
+    # normalize absorbs 1291 into n = 4303370342.
+    "classify 1408089685514 3333362 -438642105623 --oracle": (
+        "b7ec7d25766c5e588e3096511f140a4cea67fdafdf4048d6803260efb968686e",
+        "",
+    ),
     # A curve whose reduction bound is 2.
     "oracle 5 2 3": (
         "9a1154032549573667f781ce93bb960bf534ee0255bf1c033fe286061a246622",

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 from itertools import product
 
@@ -14,6 +15,7 @@ from reference import (
     j_invariant,
 )
 
+from eventorsion import intmath
 from eventorsion.curve import (
     INFINITY,
     CurveMND,
@@ -27,6 +29,7 @@ from eventorsion.curve import (
     normalize,
     order,
 )
+from eventorsion.family import sweep_curves
 from eventorsion.oracle import three_torsion_coeffs
 
 C322 = CurveMND(3, 2, 2)
@@ -107,7 +110,69 @@ class TestNormalize:
         )
 
 
+# Square parts planted on primes below 1000, in (1000, 2^14) and above 2^14:
+# the two gcd-ladder rungs of `squarefree_split` and the factoring past them.
+PLANTED_PRIMES = (2, 3, 7, 997, 1009, 1291, 16381, 16411, 65537, 1000003)
+planted_square = st.lists(st.sampled_from(PLANTED_PRIMES), max_size=3).map(
+    lambda ps: math.prod(ps) ** 2
+)
+raw = st.integers(min_value=-(10**12), max_value=10**12)
+
+
+class TestNormalizedConstruction:
+    """`normalize` and `sweep_curves` build through `CurveMND._normalized`,
+    skipping the public constructor's tests; their results must pass them."""
+
+    @given(
+        raw,
+        raw.filter(bool),
+        raw.filter(lambda d: d != 0 and intmath.int_sqrt(d) is None),
+        planted_square,
+        planted_square,
+    )
+    @settings(max_examples=300)
+    def test_normalize_passes_the_public_checks(self, m, n, d, d_square, g_square):
+        c = normalize(m * g_square, n * g_square, d * d_square)
+        assert CurveMND(c.m, c.n, c.D) == c
+
+    def test_sweep_curves_pass_the_public_checks(self):
+        curves = list(sweep_curves(8, 8, 12))
+        # 17 * 8 pairs (m, n) less the 10 with 4 | gcd(m, n), times 14 Ds.
+        assert len(curves) == (17 * 8 - 10) * 14
+        for c in curves:
+            assert CurveMND(c.m, c.n, c.D) == c
+
+    def test_normalize_tests_no_squarefreeness_again(self, monkeypatch):
+        # D = -1291^2 * 263183: the square part sits on the second ladder rung.
+        expected = {
+            (1408089685514, 3333362, -438642105623): CurveMND(
+                1408089685514, 4303370342, -263183
+            ),
+            (12, 8, 5): CurveMND(3, 2, 5),
+        }
+
+        def refuse(x):
+            raise AssertionError(f"is_squarefree({x}) called again")
+
+        monkeypatch.setattr(intmath, "is_squarefree", refuse)
+        for args, c in expected.items():
+            assert normalize(*args) == c
+
+
 class TestFromGeneral:
+    @pytest.mark.parametrize("position", range(3))
+    def test_float_coefficient_refused(self, position):
+        coeffs = [6, 1, 0]
+        coeffs[position] = 0.5
+        name = ("a2", "a4", "a6")[position]
+        with pytest.raises(TypeError, match=f"^{name}=0.5 is a float"):
+            from_general(*coeffs)
+
+    def test_decimal_string_is_exact(self):
+        # "0.1" is one tenth; the float 0.1 would be its binary expansion.
+        exact = from_general(Fraction(1, 10), Fraction(-1, 2), 0)
+        assert from_general("0.1", "-0.5", 0) == exact
+
     def test_integral_family_member(self):
         assert from_general(6, 1, 0) == CurveMND(3, 2, 2)
 
