@@ -9,8 +9,8 @@ which expands over the rationals to the integral model
     y^2 = x^3 + 2m*x^2 + q*x,       q = M*N = m^2 - n^2*D.
 
 All arithmetic is exact.  The model's torsion points are integral
-(Nagell-Lutz), so points hold ints and the group law stops at the first
-slope that is not an integer.
+(Nagell-Lutz), so a point is a pair of ints, a tuple (x, y), and the group
+law stops at the first slope that is not an integer.
 
 `from_general` maps a rational y^2 = x^3 + a2*x^2 + a4*x + a6 with exactly
 one rational root onto the family; zero or three rational roots raise.
@@ -23,6 +23,7 @@ import numbers
 from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import intmath
 
@@ -113,21 +114,28 @@ class CurveMND:
         return f"(m={self.m}, n={self.n}, D={self.D}): y^2 = x^3 + {2 * self.m}*x^2 + {self.q}*x"
 
 
-@dataclass(frozen=True)
-class Point:
-    """Affine point with int coordinates, or infinity.
+class _XY(NamedTuple):
+    x: int | None
+    y: int | None
+
+
+class Point(_XY):
+    """Affine point, the int pair (x, y), or infinity, (None, None).
 
     Point() is the point at infinity; module constant INFINITY is provided.
+    Equality, hashing and (x, y) ordering are the tuple's.  Point(x, y)
+    checks that both coordinates are ints, or both None.
     """
 
-    x: int | None = None
-    y: int | None = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if (self.x is None) != (self.y is None):
-            raise ValueError("both coordinates or neither")
-        if self.x is not None and not (isinstance(self.x, int) and isinstance(self.y, int)):
-            raise TypeError(f"coordinates must be int: {self!r}")
+    def __new__(cls, x: int | None = None, y: int | None = None) -> Point:
+        if not (isinstance(x, int) and isinstance(y, int)):
+            if (x is None) != (y is None):
+                raise ValueError("both coordinates or neither")
+            if x is not None:
+                raise TypeError(f"coordinates must be int: Point(x={x!r}, y={y!r})")
+        return tuple.__new__(cls, (x, y))
 
     @property
     def is_infinity(self) -> bool:
@@ -252,18 +260,40 @@ def _multiples(c: CurveMND, p: Point | None) -> list[Point] | None:
     order.
 
     Torsion orders are capped at MAX_TORSION_ORDER (Mazur), and a multiple
-    that `_add_raw` cannot build as an integral point proves infinite order
-    on this integral model, so the walk stops there.  A None p, a sum that
-    was not integral, gets None too.
+    whose slope is not an integer proves infinite order on this integral
+    model (Nagell-Lutz), so the walk stops there.  A None p, a sum that was
+    not integral, gets None too.
+
+    The walk is `_add_raw` inlined on ints: a tangent step from p gives 2p,
+    and chord steps with p give each next multiple.  It ends when
+    x(jp) = x(p): jp is then p or -p, and jp = p would have put
+    (j-1)p = infinity earlier, so jp = -p and (j+1)p is infinity.
     """
-    multiples = [INFINITY]
-    acc = p
-    while acc is not None and not acc.is_infinity:
+    if p is None:
+        return None
+    px, py = p
+    if px is None:
+        return [INFINITY]
+    if py == 0:
+        return [INFINITY, p]
+    m2 = 2 * c.m
+    lam, rem = divmod((3 * px + 2 * m2) * px + c.q, 2 * py)
+    if rem:
+        return None
+    x = lam * lam - m2 - 2 * px
+    y = lam * (px - x) - py
+    multiples = [INFINITY, p]
+    while True:
         if len(multiples) == MAX_TORSION_ORDER:
             return None
-        multiples.append(acc)
-        acc = _add_raw(c, acc, p)
-    return None if acc is None else multiples
+        multiples.append(Point(x, y))
+        if x == px:
+            return multiples
+        lam, rem = divmod(y - py, x - px)
+        if rem:
+            return None
+        x3 = lam * lam - m2 - x - px
+        x, y = x3, lam * (x - x3) - y
 
 
 def order(c: CurveMND, p: Point) -> int | None:

@@ -278,8 +278,7 @@ def _assemble(c: CurveMND, gen: Point | None, found: set[Point]) -> TorsionGroup
         raise OracleError(f"{c}: impossible torsion structure Z{total}")
     if not found.issubset(multiples):
         raise OracleError(f"{c}: enumerated points do not form a group")
-    # Elements are sorted, so the generator, the first k*gen with
-    # gcd(k, total) = 1, is canonical.
-    elements = sorted(multiples[1:], key=lambda p: (p.x, p.y))
-    generator = next(p for p in elements if math.gcd(multiples.index(p), total) == 1)
-    return TorsionGroup((INFINITY, *elements), generator)
+    # The generator, the least (x, y) among the k*gen with gcd(k, total) = 1,
+    # is canonical: it is the first generator of the sorted elements.
+    generator = min(multiples[k] for k in range(1, total) if math.gcd(k, total) == 1)
+    return TorsionGroup((INFINITY, *sorted(multiples[1:])), generator)

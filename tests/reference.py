@@ -1,8 +1,8 @@
 """Reference computations that the tests check the package against.
 
 The package reaches a curve's class and generator without any of these: the
-checked group law, the duplication formula, a point's order on a general
-Weierstrass model, a general cubic's discriminant and j-invariant, a
+checked group law, the duplication formula, a point's multiples and order on
+a general Weierstrass model, a general cubic's discriminant and j-invariant, a
 polynomial's value, the halving test over Q(sqrt(D)) and the unfiltered
 case checks.  All arithmetic is exact: ints and Fractions, no floats
 (tests/test_exactness.py walks this module too).
@@ -59,24 +59,34 @@ def j_invariant(a2, a4, a6) -> Fraction:
     return Fraction(c4**3, disc)
 
 
-def weierstrass_order(a2, a4, a6, x, y) -> int | None:
-    """Order of (x, y) on y^2 = x^3 + a2*x^2 + a4*x + a6 over Q, by the
+def weierstrass_multiples(a2, a4, a6, x, y) -> list[tuple[Fraction, Fraction]] | None:
+    """[P, 2P, ..., (k-1)P], each as an (x, y) pair of Fractions, for
+    P = (x, y) of order k on y^2 = x^3 + a2*x^2 + a4*x + a6 over Q, by the
     chord-tangent law on Fractions; None past 12, the largest order of a
     rational torsion point (Mazur)."""
     px, py = Fraction(x), Fraction(y)
     if py * py != ((px + a2) * px + a4) * px + a6:
         raise ValueError(f"({x}, {y}) is not on the curve")
+    multiples = [(px, py)]
     x, y = px, py  # (k - 1)P, on the walk below
     for k in range(2, 13):
         if x == px:
             if y == -py:
-                return k
+                return multiples
             lam = ((3 * x + 2 * a2) * x + a4) / (2 * y)
         else:
             lam = (y - py) / (x - px)
         x3 = lam * lam - a2 - x - px
         x, y = x3, lam * (x - x3) - y
+        multiples.append((x, y))
     return None
+
+
+def weierstrass_order(a2, a4, a6, x, y) -> int | None:
+    """Order of (x, y) on y^2 = x^3 + a2*x^2 + a4*x + a6 over Q, or None
+    past 12 (see `weierstrass_multiples`)."""
+    multiples = weierstrass_multiples(a2, a4, a6, x, y)
+    return None if multiples is None else len(multiples) + 1
 
 
 def evaluate(coeffs: list[int], x: int | Fraction) -> int | Fraction:

@@ -1,3 +1,4 @@
+import functools
 import math
 from fractions import Fraction
 from itertools import product
@@ -13,9 +14,11 @@ from reference import (
     is_halvable,
     is_square_quad,
     j_invariant,
+    weierstrass_multiples,
 )
 
 from eventorsion import intmath
+from eventorsion.classifier import full_report, generator
 from eventorsion.curve import (
     INFINITY,
     CurveMND,
@@ -25,11 +28,12 @@ from eventorsion.curve import (
     Point,
     PointNotOnCurveError,
     SingularCurveError,
+    _multiples,
     from_general,
     normalize,
     order,
 )
-from eventorsion.family import sweep_curves
+from eventorsion.family import sample_case, sweep_curves
 from eventorsion.oracle import three_torsion_coeffs
 
 C322 = CurveMND(3, 2, 2)
@@ -356,6 +360,122 @@ class TestOrder:
     def test_infinite_order_detected_by_non_integral_multiple(self):
         c = CurveMND(0, 1, 2)  # y^2 = x^3 - 2x
         assert order(c, Point(2, 2)) is None
+
+
+# The family samples and the sweep box that the walk gate and the Point
+# contract run on.
+FAMILY_BOUNDS = (("I", 8), ("II", 10), ("III", 11), ("IV", 25), ("V", 60))
+SWEEP_BOX = (12, 12, 10)
+
+
+@functools.cache
+def family_points() -> list[tuple[CurveMND, tuple[Point, ...]]]:
+    """Each family sample's curve with its case witness's generator, its
+    report's generator and its oracle group's elements."""
+    out = []
+    for tag, bound in FAMILY_BOUNDS:
+        for s in sample_case(tag, bound):
+            report = full_report(s.curve, with_oracle=True)
+            points = (generator(s.curve, s.predicted), report.generator)
+            out.append((s.curve, points + report.oracle_group.elements))
+    return out
+
+
+@functools.cache
+def sweep_reports() -> list:
+    return [full_report(c, with_oracle=True) for c in sweep_curves(*SWEEP_BOX)]
+
+
+def reference_multiples(c: CurveMND, p: Point) -> list[Point] | None:
+    """What `_multiples(c, p)` must return, by the Fraction walk of
+    tests/reference.py: [INFINITY, p, ..., (k-1)p] for p of order k <= 12,
+    else None."""
+    if p.is_infinity:
+        return [INFINITY]
+    multiples = weierstrass_multiples(2 * c.m, c.q, 0, p.x, p.y)
+    if multiples is None:
+        return None
+    # Nagell-Lutz: every torsion point of the integral model is integral.
+    assert all(x.denominator == y.denominator == 1 for x, y in multiples), (c, p)
+    return [INFINITY, *(Point(int(x), int(y)) for x, y in multiples)]
+
+
+class TestMultiplesWalk:
+    """`_multiples`, the inlined walk on ints, against the Fraction walk."""
+
+    def test_family_generators_and_groups(self):
+        orders = set()
+        for c, points in family_points():
+            for p in points:
+                want = reference_multiples(c, p)
+                assert _multiples(c, p) == want, (c, p)
+                orders.add(len(want))
+        assert orders == {1, 2, 3, 4, 5, 6, 8, 10, 12}
+
+    def test_integral_points_of_a_sweep_box(self):
+        finite = infinite = 0
+        for c in sweep_curves(*SWEEP_BOX):
+            for x in range(-200, 201):
+                y = intmath.int_sqrt(c.rhs(x))
+                if y is None:
+                    continue
+                for p in {Point(x, y), Point(x, -y)}:
+                    want = reference_multiples(c, p)
+                    assert _multiples(c, p) == want, (c, p)
+                    if want is None:
+                        infinite += 1
+                    else:
+                        finite += 1
+        assert finite and infinite
+
+    def test_non_integral_tangent(self):
+        c, p = CurveMND(0, 1, 2), Point(2, 2)
+        assert reference_multiples(c, p) is None
+        assert _multiples(c, p) is None
+
+
+def is_int_pair(p: Point) -> bool:
+    return type(p) is Point and (
+        p.is_infinity or (type(p.x) is int and type(p.y) is int)
+    )
+
+
+class TestPointContract:
+    """Points are int pairs with the tuple's equality, hash and order, and
+    every point the package builds is exactly a Point of ints."""
+
+    def test_family_points_are_int_pairs(self):
+        for c, points in family_points():
+            for p in points:
+                assert is_int_pair(p), (c, p)
+
+    def test_sweep_points_are_int_pairs(self):
+        for report in sweep_reports():
+            group = report.oracle_group
+            for p in (report.generator, group.generator, *group.elements):
+                assert is_int_pair(p), (report.curve, p)
+
+    def test_equals_and_hashes_as_its_pair(self):
+        p = Point(-15, 240)
+        assert p == (-15, 240)
+        assert hash(p) == hash((-15, 240))
+        assert {p: 1}[(-15, 240)] == 1
+        assert INFINITY == (None, None)
+
+    def test_sorts_by_x_then_y(self):
+        points = [Point(2, -1), Point(-3, 5), Point(-3, -5), Point(0, 0)]
+        assert sorted(points) == [(-3, -5), (-3, 5), (0, 0), (2, -1)]
+
+    def test_immutable(self):
+        p = Point(-15, 240)
+        with pytest.raises(AttributeError):
+            p.x = 0
+
+    def test_repr(self):
+        assert repr(Point(-15, 240)) == "Point(x=-15, y=240)"
+        assert repr(INFINITY) == "Point(x=None, y=None)"
+        assert str(Point(-15, 240)) == "(-15, 240)"
+        assert str(INFINITY) == "infinity"
 
 
 class TestQuadraticFieldSquares:

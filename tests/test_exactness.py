@@ -5,6 +5,9 @@ the package against.
 Walks the syntax tree of every module and fails on a float literal (which
 also covers `** 0.5`), a call to `float`, or math's floating-point roots,
 logarithms and exponentials.
+
+The oracle stays an independent check on the classifier: the syntax tree
+of oracle.py may import, of the package, only `curve` and `intmath`.
 """
 
 import ast
@@ -66,3 +69,52 @@ def test_detects(source):
 )
 def test_allows_exact(source):
     assert not float_uses(ast.parse(source))
+
+
+ORACLE_DEPENDENCIES = {"curve", "intmath"}
+
+
+def package_imports(tree: ast.AST) -> set[str]:
+    """The eventorsion modules that a package module imports from, by a
+    relative import or by the package's name."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if node.level == 0 and node.module is not None:
+                package, _, module = node.module.partition(".")
+                if package != "eventorsion":
+                    continue
+            elif node.level == 1:
+                module = node.module or ""
+            else:
+                continue
+            if module:
+                found.add(module.partition(".")[0])
+            else:
+                found |= {a.name for a in node.names}
+        elif isinstance(node, ast.Import):
+            for a in node.names:
+                package, _, module = a.name.partition(".")
+                if package == "eventorsion":
+                    found.add(module.partition(".")[0] or package)
+    return found
+
+
+def test_oracle_imports_only_curve_and_intmath():
+    path = SRC / "oracle.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    assert package_imports(tree) <= ORACLE_DEPENDENCIES
+
+
+@pytest.mark.parametrize(
+    "source,modules",
+    [("from .classifier import CASES", {"classifier"}),
+     ("from . import curve as _curve, family", {"curve", "family"}),
+     ("from eventorsion.corpus import CorpusRecord", {"corpus"}),
+     ("from eventorsion import cli", {"cli"}),
+     ("import eventorsion.classifier as c", {"classifier"}),
+     ("import eventorsion", {"eventorsion"}),
+     ("import math\nfrom typing import Iterable", set())],
+)
+def test_detects_package_imports(source, modules):
+    assert package_imports(ast.parse(source)) == modules
