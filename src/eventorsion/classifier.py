@@ -255,10 +255,10 @@ class WitnessIV(Witness, tag="IV", order=12):
     @classmethod
     def lattice(cls, bound: int) -> Iterator[tuple[WitnessIV, int]]:
         """(u, v, w) in 1..bound with each squarefree D != 1 in
-        |D| <= 2*bound that divides v^6 (3v^2 - 4u^2), in the base class's
-        order.  That is the quartic's constant term as a polynomial in D,
-        nonzero since 3v^2 = 4u^2 has no solution, so every integer root D
-        divides it."""
+        |D| <= 2*bound such that w^2*D divides v^6 (3v^2 - 4u^2), in the
+        base class's order.  That is the quartic's constant term as a
+        polynomial in X = w^2*D, nonzero since 3v^2 = 4u^2 has no solution,
+        so every integer root X divides it."""
         # Only u^2, v^2, w^2 enter the constraint and the curve, so positive
         # representatives suffice.
         ds = _squarefree_ds(bound)
@@ -266,9 +266,12 @@ class WitnessIV(Witness, tag="IV", order=12):
             constant = v**6 * (3 * v * v - 4 * u * u)
             roots = [d for d in ds if constant % d == 0]
             for w in range(1, bound + 1):
-                witness = cls(u, v, w)
-                for d in roots:
-                    yield witness, d
+                w2 = w * w
+                kept = [d for d in roots if constant % (w2 * d) == 0]
+                if kept:
+                    witness = cls(u, v, w)
+                    for d in kept:
+                        yield witness, d
 
     def holds(self, d: int) -> bool:
         u2, v2, w2d = self.u**2, self.v**2, self.w**2 * d

@@ -7,7 +7,11 @@ is used anywhere in the package.
 `integer_roots` solves a squarefree polynomial of any degree p-adically
 (Hensel lifting from a prime at which every root is simple), factors
 nothing, and raises ValueError on a non-squarefree one after a number of
-bad primes bounded by the bit lengths of its coefficients.
+bad primes bounded by the bit lengths of its coefficients.  It lifts each
+root only as far as Fujiwara's bound 2M on |root|, M = max_i |a_i/lead|^(1/i)
+over the coefficients a_i of x^(d-i), rounded up to a power of two from bit
+lengths (`_root_bits`): a z with |z| >= 2M has
+sum_i |a_i/lead| |z|^(-i) <= sum_i 2^(-i) < 1, so f(z) != 0.
 
 `squarefree_split` reads a number's square part off a gcd ladder on a
 product P of primes: g_1 = gcd(|x|, P), and with each g_k divided out,
@@ -156,6 +160,27 @@ def _repeated_factor_mod(f: Sequence[int], g: Sequence[int], p: int) -> bool:
         a, b = b, a
 
 
+def _root_bits(f: Sequence[int]) -> int:
+    """k with |z| < 2^k at every complex root z of f, f[0] != 0.
+
+    Fujiwara's bound (Tohoku Math. J. 10, 1916): with a_i = f[i] and
+    M = max_i |a_i/f[0]|^(1/i), a z with |z| >= 2M is no root, since
+    sum_i |a_i/f[0]| |z|^(-i) <= sum_i 2^(-i) < 1.  With 2^lb <= |f[0]|,
+    each |a_i/f[0]|^(1/i) is below 2^ceil((bitlen(a_i) - lb)/i), so 2M is
+    below 2^k for k = 1 + max(0, max_i ceil((bitlen(a_i) - lb)/i)) over
+    the nonzero a_i.
+    """
+    lb = f[0].bit_length() - 1
+    k = 0
+    for i, a in enumerate(f[1:], 1):
+        if a:
+            # ceil((bitlen(a) - lb) / i)
+            c = (a.bit_length() - lb + i - 1) // i
+            if c > k:
+                k = c
+    return k + 1
+
+
 def integer_roots(coeffs: Sequence[int]) -> list[int]:
     """Ascending distinct integer roots of the squarefree polynomial
     coeffs[0]*x^d + coeffs[1]*x^(d-1) + ... + coeffs[d].
@@ -163,8 +188,11 @@ def integer_roots(coeffs: Sequence[int]) -> list[int]:
     The factor x^k is stripped (0 is a root when k > 0).  The rest is solved
     p-adically: the first prime p that does not divide the leading
     coefficient and at which every root mod p is simple; each root mod p is
-    Newton-lifted until p^k exceeds twice the Cauchy bound on |root|, and
-    the symmetric residue is kept when it is an exact root.  A prime fails
+    Newton-lifted until p^j exceeds 2^(k+1), with 2^k the power-of-two
+    Fujiwara bound on |root| of `_root_bits`, and the symmetric residue is
+    kept when it is an exact root.  The lift from p^j to p^(2j) needs
+    f'(r)^-1 only mod p^j, as f(r) = 0 mod p^j; it is carried along by
+    Newton's inv -> inv*(2 - f'(r)*inv) mod p^(2j).  A prime fails
     only if it divides lead*disc(f), and by Mahler's bound
     |disc(f)| <= d^d * |f|_2^(2d-2) that has fewer prime factors than
     bits(lead) + d*bits(d) + (d-1)*bits(|f|_2^2), bit lengths summed; past
@@ -186,7 +214,7 @@ def integer_roots(coeffs: Sequence[int]) -> list[int]:
     if d == 0:
         return roots
     lead = f[0]
-    bound = 1 + max(abs(a) for a in f[1:]) // abs(lead)
+    limit = 2 << _root_bits(f)
     deriv = [a * (d - i) for i, a in enumerate(f[:-1])]
     norm2 = sum(a * a for a in f)
     max_failures = abs(lead).bit_length() + d * d.bit_length() + (d - 1) * norm2.bit_length()
@@ -198,19 +226,22 @@ def integer_roots(coeffs: Sequence[int]) -> list[int]:
             if failures < _SCAN_FAILURES or not _repeated_factor_mod(fp, deriv, p):
                 for r in range(p):
                     if _horner(fp, r, p) == 0:
-                        if _horner(deriv, r, p) == 0:
+                        slope = _horner(deriv, r, p)
+                        if slope == 0:
                             break
-                        residues.append(r)
+                        residues.append((r, slope))
                 else:
                     break
         failures += 1
         if failures > max_failures:
             raise ValueError(f"{list(coeffs)} is not squarefree")
-    for r in residues:
-        mod = p
-        while mod <= 2 * bound:
+    for r, slope in residues:
+        mod, inv = p, pow(slope, -1, p)
+        while mod <= limit:
             mod *= mod
-            r = (r - _horner(f, r, mod) * pow(_horner(deriv, r, mod), -1, mod)) % mod
+            r = (r - _horner(f, r, mod) * inv) % mod
+            if mod <= limit:
+                inv = inv * (2 - _horner(deriv, r, mod) * inv) % mod
         root = r if 2 * r <= mod else r - mod
         value = 0
         for a in f:

@@ -151,6 +151,15 @@ class TestCaseIV:
         assert (WitnessIV(21, 20, 2), -5) in held
         assert all(t in kept for t in held)
 
+    def test_lattice_keeps_only_divisors_of_the_constant(self):
+        # X = w^2*D is an integer root of the quartic in X, so it divides
+        # the constant term v^6 (3v^2 - 4u^2); the lattice yields no other.
+        kept = list(WitnessIV.lattice(25))
+        assert kept
+        for witness, d in kept:
+            u, v, w = witness.params
+            assert v**6 * (3 * v * v - 4 * u * u) % (w * w * d) == 0
+
 
 class TestCaseV:
     def test_953210(self):

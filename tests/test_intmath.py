@@ -18,7 +18,7 @@ from eventorsion.intmath import (
     is_squarefree,
     squarefree_split,
 )
-from eventorsion.oracle import five_division_coeffs
+from eventorsion.oracle import five_division_coeffs, three_torsion_coeffs
 
 
 def brute_squarefree(x: int) -> bool:
@@ -321,6 +321,44 @@ def has_repeated_factor(f) -> bool:
     return len(a) > 1
 
 
+def fujiwara_bits(f) -> int:
+    """1 + max(0, max_i ceil((bitlen(a_i) - lb)/i)) over the nonzero a_i,
+    2^lb <= |lead|, by Fractions: the bound the root lift must reach."""
+    from fractions import Fraction
+
+    lb = abs(f[0]).bit_length() - 1
+    return 1 + max([0] + [math.ceil(Fraction(abs(a).bit_length() - lb, i)) for i, a in enumerate(f[1:], 1) if a])
+
+
+def fujiwara_edge_poly(lead: int, d: int, c: int) -> tuple[list[int], int]:
+    """(f, z): f = |lead|*x^d - a_1*x^(d-1) - ... - a_d, up to sign, with
+    a_1 .. a_(d-1) = 2^(lb + i*c) - 1 at the top of their bit length and
+    a_d, of at most lb + d*c bits, chosen to make z a root, z the largest
+    integer for which one exists; so fujiwara_bits(f) = c + 1 and, for
+    c >= 2, z lies in [2^c, 2^(c+1))."""
+    lb = abs(lead).bit_length() - 1
+    a = [(1 << (lb + i * c)) - 1 for i in range(1, d)]
+    top = 1 << (lb + d * c)
+
+    def last(z):
+        return abs(lead) * z**d - sum(ai * z ** (d - 1 - i) for i, ai in enumerate(a))
+
+    lo, hi = 1 << c, 1 << (c + 1)
+    assert last(lo) < top <= last(hi)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if last(mid) < top:
+            lo = mid
+        else:
+            hi = mid
+    assert -top < last(lo) != 0
+    f = [abs(lead), *[-x for x in a], -last(lo)]
+    return (f if lead > 0 else [-x for x in f]), lo
+
+
+EDGE_LEADS = (1, -1, 3, 1 << 19, -(1 << 19), 10**6, -(10**6))
+
+
 class TestIntegerRoots:
     @given(
         st.integers(min_value=1, max_value=12).flatmap(
@@ -450,6 +488,94 @@ class TestIntegerRoots:
     def test_zero_polynomial_raises(self):
         with pytest.raises(ValueError):
             integer_roots([0, 0])
+
+    @pytest.mark.parametrize("lead", [1, -1, 2**20, -(2**20)])
+    def test_root_bits_tight_on_rescaled_quadratic(self, lead):
+        # x^2 - x - 2 = (x - 2)(x + 1) rescaled by 2^s has roots 2^(s+1) and
+        # -2^s, and its bound is 2^(s+2): the larger root sits at half of it.
+        for s in range(64):
+            f = [lead, -lead << s, -lead << (2 * s + 1)]
+            k = intmath._root_bits(f)
+            assert k == fujiwara_bits(f) == s + 2
+            assert integer_roots(f) == [-(1 << s), 1 << (s + 1)]
+
+    @pytest.mark.parametrize("lead", EDGE_LEADS)
+    def test_root_bits_bounds_edge_roots(self, lead):
+        for d in (2, 3, 4):
+            for c in range(2, 40):
+                f, z = fujiwara_edge_poly(lead, d, c)
+                k = intmath._root_bits(f)
+                assert k == fujiwara_bits(f) == c + 1
+                assert 1 << (k - 1) <= z < 1 << k
+
+    @pytest.mark.parametrize("lead", EDGE_LEADS)
+    def test_roots_at_the_edge_of_the_bound(self, lead):
+        # A root in [2^(k-1), 2^k) is recovered only if the lift runs past
+        # 2^(k+1): a modulus p^j in (2^k, 2|z|] leaves the wrong residue.
+        for d in (2, 3, 4):
+            for c in range(2, 72):
+                f, z = fujiwara_edge_poly(lead, d, c)
+                assert z in integer_roots(f)
+                mirrored = [a * (-1) ** (d - i) for i, a in enumerate(f)]
+                assert -z in integer_roots(mirrored)
+
+    @pytest.mark.parametrize("lead", [1, -1, 7, -(10**6)])
+    def test_planted_root_times_x_power_plus_one(self, lead):
+        # (x - R)(x^j + 1): R sets the bound, so 2^k is at most 8|R|, and
+        # x^j + 1 adds the root -1 for odd j.
+        rng = random.Random(lead)
+        for j in range(1, 12):
+            for digits in (1, 5, 20, 40):
+                r = rng.choice((-1, 1)) * rng.randrange(2, 10**digits + 2)
+                f = poly_from_roots(lead, [r], (1, *[0] * (j - 1), 1))
+                assert abs(r) < 1 << intmath._root_bits(f) <= 8 * abs(r)
+                assert integer_roots(f) == sorted({r, -1} if j % 2 else {r})
+
+    def test_lift_stops_at_the_fujiwara_bound(self, monkeypatch):
+        # The largest modulus of the lift is the square of one at most
+        # 2^(k+1); a lift to the Cauchy bound, about q^6 for psi_5 and q^2
+        # for psi_3, would run one to three squarings further.
+        seen = []
+        horner = intmath._horner
+
+        def recording(f, x, mod):
+            seen.append(mod)
+            return horner(f, x, mod)
+
+        monkeypatch.setattr(intmath, "_horner", recording)
+        cases = [
+            (five_division_coeffs(CurveMND(95, 32, 10)), [9, 81]),
+            (three_torsion_coeffs(CurveMND(-366, 30, -15)), [256]),
+        ]
+        for f, roots in cases:
+            seen.clear()
+            assert integer_roots(f) == roots
+            assert max(seen) < (2 << fujiwara_bits(f)) ** 2
+
+    def test_matches_sympy_ground_roots(self):
+        # Coefficients of 10-60 digits, where the Cauchy bound exceeds
+        # Fujiwara's the most; planted factors a*x - b with a in {1, 2, 3}
+        # give integer and non-integer rational roots.
+        sympy = pytest.importorskip("sympy")
+        x = sympy.Symbol("x")
+        rng = random.Random(39)
+        done = 0
+        while done < 80:
+            d = rng.randint(1, 12)
+            planted = rng.randint(0, min(3, d))
+            f = [
+                rng.choice((-1, 1)) * rng.randrange(10 ** (digits - 1), 10**digits)
+                for digits in (rng.randint(10, 60) for _ in range(d - planted + 1))
+            ]
+            for _ in range(planted):
+                a, b = rng.randint(1, 3), rng.randrange(-(10**20), 10**20)
+                f = [p * a - q * b for p, q in zip(f + [0], [0] + f)]
+            poly = sympy.Poly(f, x)
+            if not poly.is_sqf:
+                continue
+            done += 1
+            want = sorted(int(r) for r in poly.ground_roots() if r.is_integer)
+            assert integer_roots(f) == want, f
 
 
 class TestFactorization:
