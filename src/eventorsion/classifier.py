@@ -21,10 +21,10 @@ witness, and every Z2 curve gets the one parameterless base `Witness()`,
 whose tag is None and whose generator is (0, 0).
 
 Each class owns both directions of its parametrization.  Backward,
-`candidates(c)` lists its witnesses for a curve in ascending order of the
-first parameter: case I solves q = (a^2 - b^2*D)^2 for a in closed form,
-case II refines case I's witness, and cases III-V test one candidate per
-positive divisor pair of n/2 (negating a III-V witness keeps its curve, and
+`candidates(c)` lists its witnesses for a curve: case I solves
+q = (a^2 - b^2*D)^2 for a in closed form, case II refines case I's witness,
+and cases III-V test one candidate per ascending positive divisor d of n/2
+(b for III, v for IV, s for V; negating a III-V witness keeps its curve, and
 a case-V witness with u or v < 0 has a positive twin at a smaller s); one
 search serves all five checks, so the returned witness is reproducible.
 Forward, `lattice(bound)` yields the (witness, D) samples that
@@ -74,13 +74,6 @@ class InconsistencyError(RuntimeError):
 
 class NonSquareYError(InconsistencyError):
     """A generator x-coordinate produced a non-square y^2 on the curve."""
-
-
-def _divisor_pairs(n: int) -> tuple[tuple[int, int], ...]:
-    """(d, (n/2)/d) for each positive divisor d of n/2, ascending; n is even
-    and nonzero."""
-    half = n // 2
-    return tuple((d, half // d) for d in divisors(half))
 
 
 def _squarefree_ds(bound: int) -> list[int]:
@@ -203,7 +196,9 @@ class WitnessIII(Witness, tag="III", order=6, exact=False):
     def candidates(cls, c: CurveMND) -> Iterator[WitnessIII]:
         """Positive divisor pairs (b, k) of n/2 with k = a + c, an exact
         a = (k^2 + b^2*D) / (2k), and m = a(2k - a) + b^2*D."""
-        for b, k in _divisor_pairs(c.n):
+        half = c.n // 2
+        for b in divisors(half):
+            k = half // b
             b2d = b * b * c.D
             a, rem = divmod(k * k + b2d, 2 * k)
             if not rem and a * (2 * k - a) + b2d == c.m:
@@ -247,7 +242,9 @@ class WitnessIV(Witness, tag="IV", order=12):
     def candidates(cls, c: CurveMND) -> Iterator[WitnessIV]:
         """Positive divisor pairs (v, w) of n/2 with u^2 = v^2 + w^2*D - m
         a positive square."""
-        for v, w in _divisor_pairs(c.n):
+        half = c.n // 2
+        for v in divisors(half):
+            w = half // v
             u = int_sqrt(v * v + w * w * c.D - c.m)
             if u:
                 yield cls(u, v, w)
@@ -303,7 +300,9 @@ class WitnessV(Witness, tag="V", order=10):
         0 < u < -v; then (v, -u) or (-v, u) keeps m and q = -uv(u^2-uv-v^2),
         a witness at s' = s*|u+v|/|u-v| < s, an integer (u = ga, v = gb,
         gcd(a, b) = 1 give ab | g), and t' = st/s' is one as D is squarefree."""
-        for s, t in _divisor_pairs(c.n):
+        half = c.n // 2
+        for s in divisors(half):
+            t = half // s
             u = int_sqrt(t * t * c.D + s * s - c.m)
             v = int_sqrt(2 * s * s + 2 * s * u - c.m) if u else None
             if v:

@@ -409,9 +409,10 @@ def is_squarefree(x: int) -> bool:
 
 
 def divisors(x: int) -> tuple[int, ...]:
-    """Positive divisors of |x| != 0 in ascending order."""
+    """Positive divisors of |x| != 0, ascending; p^e appends e blocks, each p * the last."""
     vals = [1]
     for p, e in factorization(x):
-        vals = [v * p**k for v in vals for k in range(e + 1)]
-    return tuple(sorted(vals))
-
+        for i in range(e * len(vals)):
+            vals.append(vals[i] * p)
+    vals.sort()
+    return tuple(vals)

@@ -4,7 +4,7 @@ from itertools import product
 from math import gcd, prod
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from reference import add, case_witnesses
 
@@ -232,8 +232,11 @@ class TestCaseV:
 
 
 def _signed_pairs(half):
-    """Every (p, q) with p*q == half: ascending |p|, positive p first."""
-    for d in intmath.divisors(half):
+    """Every (p, q) with p*q == half: ascending |p|, positive p first.  The
+    divisors are products of the prime powers of `intmath.factorization`
+    (gated against sympy), not `intmath.divisors`, which the scan walks."""
+    powers = [[p**k for k in range(e + 1)] for p, e in intmath.factorization(half)]
+    for d in sorted(prod(ps) for ps in product(*powers)):
         yield d, half // d
         yield -d, -(half // d)
 
@@ -298,10 +301,11 @@ SMALL_DS = (-15, -7, -6, -3, -2, -1, 2, 3, 5, 6, 7, 10, 15)
 
 class TestDivisorPairs:
     def test_matches_brute_force(self):
+        # Cases III-V pair each d of divisors(n // 2) with (n/2)/d.
         for n in (2, 24, 36, -24, 2 * 3 * 5 * 7 * 11):
             half = n // 2
-            brute = tuple((d, half // d) for d in range(1, abs(half) + 1) if half % d == 0)
-            assert classifier_module._divisor_pairs(n) == brute, n
+            brute = tuple(d for d in range(1, abs(half) + 1) if half % d == 0)
+            assert classifier_module.divisors(half) == brute, n
 
     def test_one_factoring_per_scanning_case(self, monkeypatch):
         # C523 has g = 2, which admits neither order 3 nor order 5, so
@@ -320,10 +324,10 @@ class TestDivisorPairs:
         assert calls == [1, 1]
 
     def test_family_curves_have_at_most_one_witness(self):
-        # The scan returns the witness of the smallest positive first
-        # parameter, but no family curve at these bounds has two III-V
-        # witnesses to choose between.  The hit counts keep the check from
-        # passing on an empty scan.
+        # The scan returns the witness at the smallest positive divisor d of
+        # n/2 (b for III, v for IV, s for V), but no family curve at these
+        # bounds has two III-V witnesses to choose between.  The hit counts
+        # keep the check from passing on an empty scan.
         curves = {
             s.curve
             for tag, bound in (("I", 8), ("II", 10), ("III", 11), ("IV", 25), ("V", 60))
@@ -352,8 +356,14 @@ class TestReferenceScan:
             c = CurveMND(m, n, d)
         except InvalidCurveError:
             return
-        for tag, check in SCANNED_CHECKS.items():
-            assert check(c) == _reference_witness(tag, c), (tag, c)
+        TestReferenceScan.assert_same_curve(c)
+
+    @staticmethod
+    def assert_same_curve(c):
+        found = {tag: check(c) for tag, check in SCANNED_CHECKS.items()}
+        for tag, w in found.items():
+            assert w == _reference_witness(tag, c), (tag, c)
+        return found
 
     def test_planted_kinds_present(self):
         assert {w.tag for w, _ in PLANTED} == set(SCANNED_CHECKS)
@@ -385,6 +395,21 @@ class TestReferenceScan:
         g = gcd(a, b)
         m, n = WitnessI(a // g, b // g).curve_mn(d)
         self.assert_same(m, sign * n, d)
+
+    @given(
+        st.integers(10**5, 10**6),
+        st.integers(10**5, 10**6),
+        st.sampled_from((1, -1)),
+    )
+    def test_planted_case_iii_large(self, a, c, sign):
+        # The large-height benchmark pool's case-III witnesses: b = 1 and
+        # D = a^2 - c^2, which is not squarefree in general, so the curve
+        # is normalized; n/2 has up to a few hundred divisors.
+        d = a * a - c * c
+        assume(intmath.int_sqrt(d) is None)  # skip D = 0 and positive squares
+        m, n = WitnessIII(a, 1, c).curve_mn(d)
+        curve = curve_module.normalize(m, sign * n, d)
+        assert self.assert_same_curve(curve)["III"] is not None, curve
 
 
 class TestHolds:

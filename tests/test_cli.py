@@ -582,6 +582,18 @@ class TestLargeInputs:
         assert "structure: Z2 (order 2)" in proc.stdout
         assert "reduction bound: 2" in proc.stdout
 
+    def test_many_prime_genuine_z6_scan_exits_0(self):
+        # A genuine Z6 curve whose n/2 = b = 3*5*...*59 has 2^16 divisors,
+        # with the case-III witness at the last one: a + c = 1, D = 3.
+        b = math.prod(p for p in range(3, 60) if all(p % d for d in range(2, p)))
+        a = (1 + 3 * b * b) // 2
+        m, n = classifier.WitnessIII(a, b, 1 - a).curve_mn(3)
+        proc = self.cli("classify", str(m), str(n), "3", "--oracle")
+        assert proc.returncode == EXIT_OK, proc.stderr
+        assert "class: Z6" in proc.stdout
+        assert f"witness: III({a}, {b}, {1 - a})" in proc.stdout
+        assert "agree: yes" in proc.stdout
+
     def test_first_24_odd_primes_bad_classify_exits_0(self):
         # n/2 is the product of the first 24 odd primes, all bad; the bound
         # reaches 2 at p = 113, so nothing scans the 2^24 divisors of n/2.

@@ -295,6 +295,24 @@ class TestDivisors:
         assert all(x % d == 0 for d in ds)
         assert len(ds) == sum(1 for d in range(1, x + 1) if x % d == 0)
 
+    @pytest.mark.parametrize(
+        "x,count",
+        [
+            (6515208, 128),  # 2^3 * 3^3 * 7 * 31 * 139
+            (12252240, 480),  # 2^4 * 3^2 * 5 * 7 * 11 * 13 * 17
+            (2**20, 21),
+            (3**12, 13),
+            (1, 1),
+            (1000003, 2),
+            (-6515208, 128),
+        ],
+    )
+    def test_matches_brute_force(self, x, count):
+        small = [d for d in range(1, math.isqrt(abs(x)) + 1) if x % d == 0]
+        brute = sorted(set(small) | {abs(x) // d for d in small})
+        assert divisors(x) == tuple(brute)
+        assert len(brute) == count
+
 
 def poly_from_roots(lead: int, roots, cofactor=(1,)) -> list[int]:
     """Coefficients, leading first, of lead * cofactor * prod (x - r)."""
